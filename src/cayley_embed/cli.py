@@ -34,13 +34,14 @@ from .groups import (
     parse_group_spec,
 )
 from .pls import (
+    MAX_ENUM_SIZE,
     ParameterOutOfRange,
     canonical_form,
     enumerate_species,
     format_species_file,
     parse_pls,
 )
-from .screening import IncompleteClass, psi, screen_size
+from .screening import MAX_SCREEN_SIZE, IncompleteClass, psi, screen_size
 
 RUN_REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -63,6 +64,10 @@ EXIT_PARSE = 3
 
 
 class _ParseFailure(Exception):
+    pass
+
+
+class _UsageError(Exception):
     pass
 
 
@@ -105,7 +110,10 @@ def _load_group(spec: str):
 def _threads(flag_value: Optional[int]) -> int:
     env = os.environ.get("CAYLEY_EMBED_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise _UsageError(f"CAYLEY_EMBED_THREADS must be an integer, got {env!r}") from None
     if flag_value is not None:
         return max(1, flag_value)
     return os.cpu_count() or 1
@@ -116,8 +124,8 @@ def cmd_species(args) -> int:
     if args.max_size < 1:
         print("--max-size must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.max_size > 8:
-        print("--max-size is capped at 8", file=sys.stderr)
+    if args.max_size > MAX_ENUM_SIZE:
+        print(f"--max-size is capped at {MAX_ENUM_SIZE}", file=sys.stderr)
         return EXIT_USAGE
     levels = enumerate_species(args.max_size)
     counts = {m: len(reps) for m, reps in levels.items()}
@@ -169,8 +177,8 @@ def cmd_embed(args) -> int:
 
 def cmd_screen(args) -> int:
     started = time.time()
-    if not 1 <= args.size <= 7:
-        print("--size must be in 1..7", file=sys.stderr)
+    if not 1 <= args.size <= MAX_SCREEN_SIZE:
+        print(f"--size must be in 1..{MAX_SCREEN_SIZE}", file=sys.stderr)
         return EXIT_USAGE
     if args.n < 1:
         print("--n must be at least 1", file=sys.stderr)
@@ -192,6 +200,8 @@ def cmd_screen(args) -> int:
 
 def cmd_psi(args) -> int:
     started = time.time()
+    if args.n < 1:
+        raise _UsageError("--n must be at least 1")
     groups = None
     if args.groups:
         groups = [
@@ -206,7 +216,7 @@ def cmd_psi(args) -> int:
             assume_complete=args.assume_complete,
             workers=_threads(args.threads),
         )
-    except IncompleteClass as exc:
+    except (IncompleteClass, OrderUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     lines = [f"psi({args.n}, {args.variant}) = {result.psi}"]
@@ -399,6 +409,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -172,8 +172,28 @@ def parastrophe(p: PLS, sigma: Parastrophe) -> PLS:
 # least sorted-triple encoding over the whole orbit.  The minimum is attained
 # by a labelling that is in first-appearance order along the sorted encoding
 # (relabelling the first violation with a swap gives a smaller encoding), so a
-# branch-and-bound over "which triple comes next" with first-appearance label
-# assignment is exhaustive.
+# branch-and-bound over "which triple comes next", giving each triple the
+# least labels still open to it, is exhaustive.  Three facts keep it small
+# without changing the minimum:
+#
+# * Row 1 of the least encoding is a longest line: a longer first row wins at
+#   the position where the shorter one ends.  Only parastrophes whose row
+#   role holds a line of maximum degree are searched, and a new row is always
+#   a longest one when all its cells are new.
+# * When the least next triple has a new column and a new symbol, so has
+#   every remaining triple of the open row, and the row ends with
+#   (r, c, s), (r, c+1, s+1), ...  Which column gets which of those labels
+#   (and its symbol the matching one) is left open until a later row meets
+#   the column or the symbol, which then takes the least label still free in
+#   its block.  Swapping two such column/symbol pairs leaves the row intact,
+#   so the least encoding uses the free labels in increasing order and the
+#   d! orders of a row of d new cells are never enumerated.
+# * Two leaves with equal encodings give an autotopism.  Candidates that a
+#   known autotopism fixing every labelled line maps onto an explored
+#   candidate lead to the same encodings and are skipped, and on finding one
+#   the search returns to the node where the two paths part.  A leaf equal
+#   to the best of an earlier parastrophe means the two parastrophes are
+#   isotopic, which ends the search of the later one.
 
 
 @dataclass(frozen=True, order=True)
@@ -206,82 +226,275 @@ def canonical_form(p: PLS) -> SpeciesKey:
 
 
 _PERMS = tuple(sorted(permutations((0, 1, 2))))
+# a label triple packed into one int, ordered as the triple is
+_SHIFT = 16
 
 
 @lru_cache(maxsize=1 << 18)
-def _canonical_blob(triples: tuple[Triple, ...]) -> bytes:
-    best: Optional[tuple] = None
-    for p in _PERMS:
-        image = tuple(sorted((t[p[0]], t[p[1]], t[p[2]]) for t in triples))
-        best = _min_relabelling(image, best)
-    assert best is not None
-    return b"".join(bytes(t) for t in best)
+def _canonical_blob(triples: tuple[Sequence[int], ...]) -> bytes:
+    mask = (1 << _SHIFT) - 1
+    return bytes(
+        x
+        for code in _LeastEncoding(triples).best
+        for x in (code >> 2 * _SHIFT, code >> _SHIFT & mask, code & mask)
+    )
 
 
-def _min_relabelling(triples: tuple, best: Optional[tuple]) -> tuple:
-    """Lexicographically least sorted encoding of `triples` under relabelling.
+class _LeastEncoding:
+    """The least encoding of a triple set, as packed label triples in ``best``.
 
-    Seeded with (and compared against) `best` so callers can share the bound
-    across parastrophe images.
+    Triple ids need not be dense.  A line gets the flat id k * width + x for
+    value x of coordinate k, whatever role a parastrophe gives it, and
+    autotopisms are kept as one permutation of the ids of each coordinate,
+    so that every parastrophe can use them.
     """
-    rmap: dict[int, int] = {}
-    cmap: dict[int, int] = {}
-    smap: dict[int, int] = {}
-    acc: list[tuple[int, int, int]] = []
 
-    def rec(remaining: list) -> None:
-        nonlocal best
-        if not remaining:
-            cand = tuple(acc)
-            if best is None or cand < best:
-                best = cand
-            return
-        pos = len(acc)
-        tight = False
-        if best is not None:
-            prefix = best[:pos]
-            acc_t = tuple(acc)
-            if acc_t > prefix:
+    def __init__(self, triples: Sequence[Sequence[int]]):
+        self.width = width = max(max(t) for t in triples) + 1
+        self.flat = [[k * width + t[k] for t in triples] for k in range(3)]
+        self.cells_on: list[list[int]] = [[] for _ in range(3 * width)]
+        for ids in self.flat:
+            for i, x in enumerate(ids):
+                self.cells_on[x].append(i)
+        # triple index by its row and column
+        self.cell_of = {rc: i for i, rc in enumerate(zip(self.flat[0], self.flat[1]))}
+        self.best: list[int] = []
+        self.best_perm: Optional[tuple[int, ...]] = None
+        self.best_labels: list[int] = []
+        self.best_path: list[int] = []
+        self.autos: list[list[int]] = []
+        degree = [max(map(len, self.cells_on[k * width : (k + 1) * width])) for k in range(3)]
+        for perm in _PERMS:
+            if degree[perm[0]] == max(degree):
+                self._search(perm)
+
+    def _search(self, perm: tuple[int, ...]) -> None:
+        width = self.width
+        lines = 3 * width
+        R, C, S = (self.flat[k] for k in perm)
+        n = len(R)
+        cells_on = self.cells_on
+        F0, F1 = self.flat[0], self.flat[1]
+        cell_of = self.cell_of
+        row_ids = [
+            r for r in range(perm[0] * width, (perm[0] + 1) * width) if cells_on[r]
+        ]
+        # The search state is one flat list, copied for each child:
+        #   [0, lines)       label of each line (0: none yet)
+        #   BLK + line       record offset of the block a column or symbol
+        #                    waits in (-1: none)
+        #   PART + line      its partner symbol or column on the block's row
+        #   NXT .. NXT+3     next new row, column and symbol label; blocks
+        #   BLOCKS + 3b      block b: first column label, first symbol
+        #                    label, labels taken
+        #   DONE + i         triple i placed
+        BLK = lines
+        PART = 2 * lines
+        NXT = 3 * lines
+        BLOCKS = NXT + 4
+        DONE = BLOCKS + 3 * n
+        root = [0] * lines + [-1] * lines + [0] * lines + [1, 1, 1, 0] + [0] * (4 * n)
+        best = self.best
+        path: list[int] = []
+        acc: list[int] = []
+        jump: Optional[int] = None
+        version = 0
+
+        def place(st: list[int], i: int) -> int:
+            r, c, s = R[i], C[i], S[i]
+            if not st[r]:
+                st[r] = st[NXT]
+                st[NXT] += 1
+            if not st[c]:
+                o = st[BLK + c]
+                if o < 0:
+                    st[c] = st[NXT + 1]
+                    st[NXT + 1] += 1
+                else:
+                    f = st[o + 2]
+                    st[c] = st[o] + f
+                    st[st[PART + c]] = st[o + 1] + f
+                    st[o + 2] = f + 1
+            if not st[s]:
+                o = st[BLK + s]
+                if o < 0:
+                    st[s] = st[NXT + 2]
+                    st[NXT + 2] += 1
+                else:
+                    f = st[o + 2]
+                    st[s] = st[o + 1] + f
+                    st[st[PART + s]] = st[o] + f
+                    st[o + 2] = f + 1
+            st[DONE + i] = 1
+            return (st[r] << _SHIFT | st[c]) << _SHIFT | st[s]
+
+        def open_block(st: list[int], members: list[int]) -> None:
+            o = BLOCKS + 3 * st[NXT + 3]
+            st[NXT + 3] += 1
+            st[o] = st[NXT + 1]
+            st[o + 1] = st[NXT + 2]
+            st[o + 2] = 0
+            for i in members:
+                c, s = C[i], S[i]
+                st[BLK + c] = st[BLK + s] = o
+                st[PART + c] = s
+                st[PART + s] = c
+                st[DONE + i] = 1
+            st[NXT + 1] += len(members)
+            st[NXT + 2] += len(members)
+
+        def block_codes(st: list[int], row_label: int, k: int) -> list[int]:
+            head = (row_label << _SHIFT | st[NXT + 1]) << _SHIFT | st[NXT + 2]
+            step = 1 << _SHIFT | 1
+            return [head + j * step for j in range(k)]
+
+        def least(st: list[int], cand: list[int]) -> tuple[int, list[int]]:
+            """Least (column, symbol) label pair open to the candidates."""
+            c_new, s_new = st[NXT + 1], st[NXT + 2]
+            m = -1
+            ties: list[int] = []
+            for i in cand:
+                c = C[i]
+                lc = st[c]
+                if not lc:
+                    o = st[BLK + c]
+                    lc = c_new if o < 0 else st[o] + st[o + 2]
+                s = S[i]
+                ls = st[s]
+                if not ls:
+                    o = st[BLK + s]
+                    if o < 0:
+                        ls = s_new
+                    else:
+                        # a column of the same block takes the lower label
+                        ls = st[o + 1] + st[o + 2] + (o == st[BLK + c] and not st[c])
+                code = lc << _SHIFT | ls
+                if m < 0 or code < m:
+                    m = code
+                    ties = [i]
+                elif code == m:
+                    ties.append(i)
+            return m, ties
+
+        def compare(codes: list[int], pos: int, tight: bool) -> int:
+            """-1: prune; 0: below the best; 1: still equal to it."""
+            if not tight:
+                return 0
+            for code in codes:
+                b = best[pos]
+                if code != b:
+                    return -1 if code > b else 0
+                pos += 1
+            return 1
+
+        def equivalent(st: list[int], x: int, explored: list[int], is_row: bool) -> bool:
+            """Whether autotopisms fixing the labelled lines map x onto an explored candidate."""
+            gens = [g for g in self.autos if all(g[v] == v for v in range(lines) if st[v])]
+            if not gens:
+                return False
+            targets = set(explored)
+            seen = {x}
+            todo = [x]
+            while todo:
+                y = todo.pop()
+                for g in gens:
+                    z = g[y] if is_row else cell_of[(g[F0[y]], g[F1[y]])]
+                    if z in targets:
+                        return True
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
+            return False
+
+        def leaf(st: list[int], tight: bool) -> None:
+            nonlocal jump, version
+            # columns still waiting in a block never met a later row: any
+            # order of their free labels gives this encoding
+            st = st[:]
+            for c in range(perm[1] * width, (perm[1] + 1) * width):
+                o = st[BLK + c]
+                if not st[c] and o >= 0:
+                    f = st[o + 2]
+                    st[c] = st[o] + f
+                    st[st[PART + c]] = st[o + 1] + f
+                    st[o + 2] = f + 1
+            labels = st[:lines]
+            if not tight:
+                best[:] = acc
+                self.best_perm = perm
+                self.best_labels = labels
+                self.best_path = path[:]
+                version += 1
+            elif self.best_perm != perm:
+                jump = -1
+            else:
+                # each line goes to the line of its coordinate that has its
+                # label at the best leaf
+                back = {(v // width, lab): v for v, lab in enumerate(self.best_labels) if lab}
+                self.autos.append(
+                    [back[(v // width, lab)] if lab else v for v, lab in enumerate(labels)]
+                )
+                # below the node where the two paths part, this subtree is
+                # the image of the explored one: go back to that node
+                bp = self.best_path
+                d = 0
+                while path[d] == bp[d]:
+                    d += 1
+                jump = d
+
+        def node(st: list[int], pos: int, row: int, tight: bool) -> None:
+            nonlocal jump
+            if pos == n:
+                leaf(st, tight)
                 return
-            tight = acc_t == prefix
-        nr = len(rmap) + 1
-        nc = len(cmap) + 1
-        ns = len(smap) + 1
-        mint = None
-        cands: list[int] = []
-        for i, t in enumerate(remaining):
-            lab = (rmap.get(t[0], nr), cmap.get(t[1], nc), smap.get(t[2], ns))
-            if mint is None or lab < mint:
-                mint = lab
-                cands = [i]
-            elif lab == mint:
-                cands.append(i)
-        if tight and mint > best[pos]:
-            return
-        acc.append(mint)  # type: ignore[arg-type]
-        for i in cands:
-            r, c, s = remaining[i]
-            add_r = r not in rmap
-            add_c = c not in cmap
-            add_s = s not in smap
-            if add_r:
-                rmap[r] = nr
-            if add_c:
-                cmap[c] = nc
-            if add_s:
-                smap[s] = ns
-            rec(remaining[:i] + remaining[i + 1 :])
-            if add_r:
-                del rmap[r]
-            if add_c:
-                del cmap[c]
-            if add_s:
-                del smap[s]
-        acc.pop()
+            cand = [i for i in cells_on[row] if not st[DONE + i]] if row >= 0 else []
+            row_label = st[row] if cand else st[NXT]
+            m, ties = least(st, cand or [i for i in range(n) if not st[DONE + i]])
+            is_row = m == st[NXT + 1] << _SHIFT | st[NXT + 2]
+            if is_row:
+                # every candidate is new in column and symbol: the open row
+                # ends in one block, or else a longest free row opens as one
+                if cand:
+                    ties = [row]
+                else:
+                    free = [r for r in row_ids if not st[r]]
+                    longest = max(len(cells_on[r]) for r in free)
+                    ties = [r for r in free if len(cells_on[r]) == longest]
+                    cand = cells_on[ties[0]]
+                codes = block_codes(st, row_label, len(cand))
+            else:
+                codes = [row_label << 2 * _SHIFT | m]
+            state = compare(codes, pos, tight)
+            if state < 0:
+                return
+            depth = len(path)
+            explored: list[int] = []
+            for x in ties:
+                if explored and self.autos and equivalent(st, x, explored, is_row):
+                    continue
+                seen_version = version
+                child = st[:]
+                path.append(x)
+                if is_row:
+                    child[x] = row_label
+                    child[NXT] = row_label + 1
+                    open_block(child, [i for i in cells_on[x] if not st[DONE + i]])
+                    acc.extend(codes)
+                    node(child, pos + len(codes), -1, state == 1)
+                else:
+                    acc.append(place(child, x))
+                    node(child, pos + 1, R[x], state == 1)
+                del acc[pos:]
+                path.pop()
+                if jump is not None:
+                    if jump < depth:
+                        return
+                    jump = None
+                if version != seen_version:
+                    state = 1
+                explored.append(x)
 
-    rec(list(triples))
-    assert best is not None
-    return best
+        node(root, 0, -1, bool(best))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +502,15 @@ def _min_relabelling(triples: tuple, best: Optional[tuple]) -> tuple:
 #
 # A size-m PLS minus any triple is (after dense relabelling) a size-(m-1) PLS,
 # and the deleted triple sits inside the bounding box grown by one in each
-# dimension.  Augmenting every size-(m-1) representative over that box is
-# therefore exhaustive; canonical keys deduplicate.
+# dimension, so augmenting every size-(m-1) representative over that box
+# reaches every species.  Canonical augmentation (McKay, "Isomorph-free
+# exhaustive generation", J. Algorithms 26, 1998) keeps a child only when
+# its added triple is a canonical deletion: among the triples with the
+# greatest invariant profile, one whose deletion leaves the least key.  All
+# members of a species then have the same parent species, so a species is
+# only found among the children of that one representative (isomorphic
+# siblings still meet in the key set), and most children are rejected on the
+# profile alone, before any key is computed.
 
 _species_lock = threading.Lock()
 _species_levels: list[list[PLS]] = []
@@ -322,14 +542,17 @@ def _species_level(m: int) -> list[PLS]:
             else:
                 keys: set[bytes] = set()
                 for parent in _species_levels[-1]:
-                    for cand in _extensions(parent):
-                        keys.add(_canonical_blob(cand.triples))
+                    parent_key = _canonical_blob(parent.triples)
+                    for cells, added in _extensions(parent):
+                        if _canonical_deletion(cells, added, parent_key):
+                            keys.add(_canonical_blob(cells))
                 level = [SpeciesKey(b).to_pls() for b in sorted(keys)]
             _species_levels.append(level)
     return _species_levels[m - 1]
 
 
 def _extensions(p: PLS):
+    """Each (cells, added): p plus one triple in its bounding box grown by one."""
     by_rc = {(t.row, t.col) for t in p.triples}
     by_rs = {(t.row, t.sym) for t in p.triples}
     by_cs = {(t.col, t.sym) for t in p.triples}
@@ -341,12 +564,47 @@ def _extensions(p: PLS):
             for s in range(1, p.n_syms + 2):
                 if (r, s) in by_rs or (c, s) in by_cs:
                     continue
-                yield PLS(
-                    tuple(sorted(base + (Triple(r, c, s),))),
-                    max(p.n_rows, r),
-                    max(p.n_cols, c),
-                    max(p.n_syms, s),
-                )
+                added = Triple(r, c, s)
+                yield tuple(sorted(base + (added,))), added
+
+
+def _canonical_deletion(cells: tuple[Triple, ...], added: Triple, parent_key: bytes) -> bool:
+    """Whether deleting `added` from `cells` is a canonical deletion.
+
+    The profile of a triple is the sorted degrees of its three lines, refined
+    by the sorted profiles met on each line; both are species invariants.
+    `added` must have the greatest profile, and no other triple with that
+    profile may leave a smaller key than `parent_key`, the key of `cells`
+    minus `added`.
+    """
+    deg: list[dict[int, int]] = [{}, {}, {}]
+    for t in cells:
+        for k in range(3):
+            deg[k][t[k]] = deg[k].get(t[k], 0) + 1
+    d0, d1, d2 = deg
+    prof = [tuple(sorted((d0[r], d1[c], d2[s]))) for r, c, s in cells]
+    mine = prof[cells.index(added)]
+    if mine != max(prof):
+        return False
+    tied = [i for i, q in enumerate(prof) if q == mine]
+    if len(tied) > 1:
+        met: list[dict[int, list]] = [{}, {}, {}]
+        for t, q in zip(cells, prof):
+            for k in range(3):
+                met[k].setdefault(t[k], []).append(q)
+
+        def refined(t: Triple) -> list:
+            return sorted(sorted(met[k][t[k]]) for k in range(3))
+
+        fine = {i: refined(cells[i]) for i in tied}
+        mine = refined(added)
+        if any(q > mine for q in fine.values()):
+            return False
+        tied = [i for i in tied if fine[i] == mine]
+    for i in tied:
+        if cells[i] != added and _canonical_blob(cells[:i] + cells[i + 1 :]) < parent_key:
+            return False
+    return True
 
 
 def sub_species_contains(p: PLS, q: PLS) -> bool:

@@ -32,6 +32,9 @@ from .pls import (
     validate_pls,
 )
 
+#: largest species size that screen_size accepts
+MAX_SCREEN_SIZE = 7
+
 
 class TripleNotInP(ValueError):
     pass
@@ -164,8 +167,8 @@ def screen_size(size: int, n: int) -> list[SpeciesKey]:
     parastrophes) nor certified by the diagonal fast path; they are the ones
     that require direct search.
     """
-    if not 1 <= size <= 7:
-        raise ValueError(f"screening supports sizes 1..7, got {size}")
+    if not 1 <= size <= MAX_SCREEN_SIZE:
+        raise ValueError(f"screening supports sizes 1..{MAX_SCREEN_SIZE}, got {size}")
     reps = enumerate_species(size)[size]
     out = []
     for rep in reps:

@@ -125,6 +125,14 @@ class TestPsi:
         )
         assert code == 0 and payload["results"]["psi"] == 3
 
+    def test_zero_order_exits_2(self, capsys):
+        code, _, err = run(capsys, "psi", "--n", "0")
+        assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_uncatalogued_abelian_order_exits_2(self, capsys):
+        code, _, err = run(capsys, "psi", "--variant", "abelian", "--n", "65")
+        assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestGroups:
     def test_catalogue_listing(self, capsys):
@@ -173,6 +181,11 @@ class TestThreads:
             capsys, "psi", "--n", "5", "--variant", "cyclic", "--threads", "4"
         )
         assert code == 0 and payload["results"]["psi"] == 3
+
+    def test_non_integer_env_var_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAYLEY_EMBED_THREADS", "abc")
+        code, _, err = run(capsys, "psi", "--n", "3")
+        assert code == 2 and err.startswith("error:") and "CAYLEY_EMBED_THREADS" in err
 
 
 class TestReports:

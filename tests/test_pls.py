@@ -1,4 +1,5 @@
-from itertools import combinations, product
+import hashlib
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -151,11 +152,46 @@ class TestCanonicalForm:
         key = canonical_form(gen_diagonal(3))
         assert SpeciesKey.from_hex(key.hex()) == key
 
+    def test_key_is_least_encoding(self):
+        # the key's definition, by brute force: least encoding over every
+        # parastrophe, row order and column order, with symbols labelled by
+        # first appearance in (row, col) order
+        def least_encoding(p):
+            best = None
+            for sigma in ALL_PARASTROPHES:
+                q = parastrophe(p, sigma)
+                for rows in permutations(range(1, q.n_rows + 1)):
+                    for cols in permutations(range(1, q.n_cols + 1)):
+                        cells = sorted((rows[t.row - 1], cols[t.col - 1], t.sym) for t in q.triples)
+                        syms: dict[int, int] = {}
+                        enc = bytes(
+                            x for r, c, s in cells for x in (r, c, syms.setdefault(s, len(syms) + 1))
+                        )
+                        if best is None or enc < best:
+                            best = enc
+            return best
+
+        squares = [p for reps in enumerate_species(4).values() for p in reps]
+        squares += [gen_row_cycle(k) for k in range(2, 5)]
+        for p in squares:
+            assert canonical_form(p).blob == least_encoding(p), format_triples(p)
+
 
 class TestEnumeration:
     def test_counts_to_five(self):
         counts = {m: len(v) for m, v in enumerate_species(5).items()}
         assert counts == {1: 1, 2: 2, 3: 5, 4: 18, 5: 59}
+
+    def test_keys_to_seven_are_pinned(self):
+        # SHA-256 over the keys of sizes 1..7 in order, as first computed by
+        # a plain branch-and-bound over all labellings
+        digest = hashlib.sha256()
+        for reps in enumerate_species(7).values():
+            for p in reps:
+                digest.update(canonical_form(p).blob)
+        assert digest.hexdigest() == (
+            "b7cc4582bbf408f8f5e1b34061a949892ddde31f0013dcfa57a1bf8d54fa86e5"
+        )
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
