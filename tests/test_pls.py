@@ -183,8 +183,8 @@ class TestEnumeration:
         assert counts == {1: 1, 2: 2, 3: 5, 4: 18, 5: 59}
 
     def test_keys_to_seven_are_pinned(self):
-        # SHA-256 over the keys of sizes 1..7 in order, as first computed by
-        # a plain branch-and-bound over all labellings
+        # SHA-256 over the keys of sizes 1..7 in order: any change to a key,
+        # to the set of representatives or to their order moves it
         digest = hashlib.sha256()
         for reps in enumerate_species(7).values():
             for p in reps:
