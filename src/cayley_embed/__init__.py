@@ -90,7 +90,6 @@ from .screening import (
     psi,
     reducible,
     removable_triple,
-    row_cycle_species,
     screen_size,
     shift_line,
 )

@@ -68,18 +68,47 @@ class Group:
         return f"{self.name} (order {self.order})"
 
 
-MAX_VALIDATED_ORDER = 256  # full O(n^3) associativity check up to here
-
-
 def group_from_table(table: Iterable[Sequence[int]], name: str = "") -> Group:
     """Validate a Cayley table and return the Group with identity moved to 0.
 
     Checks: rows/columns are permutations, a two-sided identity exists,
-    associativity holds for all triples (structurally guaranteed inputs above
-    MAX_VALIDATED_ORDER skip the cubic scan), inverses exist.
+    associativity holds for all triples (by Light's test), inverses exist.
     """
     rows = [tuple(int(x) for x in row) for row in table]
     return _finalize(rows, name, check_assoc=True)
+
+
+def _check_associative(rows: list[tuple[int, ...]], ident: int) -> None:
+    """Light's test: (xa)y = x(ay) for all x, y, for a in a generating set.
+
+    The elements a that pass are closed under products, so once the right
+    products of the tested elements reach every element, the table is
+    associative.  Each element not yet reached is tested and joins the
+    generators, which costs O(n^2) per generator.
+    """
+    n = len(rows)
+    gens: list[int] = []
+    reached = [False] * n
+    reached[ident] = True
+    for a in range(n):
+        if reached[a]:
+            continue
+        ra = rows[a]
+        for x in range(n):
+            rxa = rows[rows[x][a]]
+            rx = rows[x]
+            for y in range(n):
+                if rxa[y] != rx[ra[y]]:
+                    raise NotAssociative((x, a, y))
+        gens.append(a)
+        frontier = [rows[x][a] for x in range(n) if reached[x]]
+        while frontier:
+            x = frontier.pop()
+            if reached[x]:
+                continue
+            reached[x] = True
+            rx = rows[x]
+            frontier.extend(rx[g] for g in gens)
 
 
 def _finalize(rows: list[tuple[int, ...]], name: str, check_assoc: bool) -> Group:
@@ -100,16 +129,8 @@ def _finalize(rows: list[tuple[int, ...]], name: str, check_assoc: bool) -> Grou
             break
     if ident is None:
         raise NoIdentity("no two-sided identity")
-    if check_assoc and n <= MAX_VALIDATED_ORDER:
-        for a in range(n):
-            ra = rows[a]
-            for b in range(n):
-                ab = ra[b]
-                rab = rows[ab]
-                rb = rows[b]
-                for c in range(n):
-                    if rab[c] != ra[rb[c]]:
-                        raise NotAssociative((a, b, c))
+    if check_assoc:
+        _check_associative(rows, ident)
     if ident != 0:
         perm = list(range(n))
         perm[0], perm[ident] = perm[ident], perm[0]
@@ -273,9 +294,7 @@ def from_perm_generators(degree: int, generators: Sequence[Sequence[int]], name:
     for a, pa in enumerate(elements):
         for b, pb in enumerate(elements):
             table[a][b] = index[tuple(pa[pb[x]] for x in pts)]
-    # composition of permutations is associative; skip the cubic re-check for
-    # big closures
-    return _finalize([tuple(r) for r in table], name or f"perm{n}", check_assoc=n <= MAX_VALIDATED_ORDER)
+    return _finalize([tuple(r) for r in table], name or f"perm{n}", check_assoc=True)
 
 
 def opposite(g: Group) -> Group:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 from .embed import embeds_in_class, quadrangle_violation, transversal_bound
 from .groups import Group, OrderUnsupported, abelian_groups_of_order, cyclic, groups_of_order
@@ -117,41 +118,114 @@ def _residue(triples: Sequence[Triple]) -> Optional[PLS]:
     return validate_pls(sorted(triples))
 
 
+class _Step(NamedTuple):
+    """A reduction that applies at every n >= threshold.
+
+    Both rules remove one row of the image under `sigma`: a removable
+    triple is the only cell of its row.
+    """
+
+    threshold: int
+    rule: str
+    sigma: Parastrophe
+    row: int
+
+
+# The scan of `reducible` depends on n only through one threshold per
+# candidate: a removable triple needs n >= order(p), a shift line
+# max(A, B) with A and B the bounds of its conditions (ii) and (iii).  The
+# first candidate that holds at n is therefore the first one whose threshold
+# is strictly below every earlier threshold and at most n, and the plan keeps
+# just those.  Every threshold is at least order(p), so the plan ends at the
+# first entry that reaches it.  Both rules are symmetric in the column and
+# symbol roles, so of the two parastrophes sharing a row role (adjacent in
+# ALL_PARASTROPHES) the second repeats the first's thresholds and never
+# enters the plan.
+@lru_cache(maxsize=1 << 16)
+def _plan(p: PLS) -> tuple[_Step, ...]:
+    steps: list[_Step] = []
+    order = p.order
+    dims = (p.n_rows, p.n_cols, p.n_syms)
+    best = None
+    for sigma in ALL_PARASTROPHES[::2]:
+        i, j, k = sigma.perm
+        n_rows, n_cols, n_syms = dims[i], dims[j], dims[k]
+        cells = sorted([(t[i], t[j], t[k]) for t in p.triples])
+        row_deg = [0] * (n_rows + 1)
+        col_deg = [0] * (n_cols + 1)
+        sym_deg = [0] * (n_syms + 1)
+        col_rows = [0] * (n_cols + 1)
+        sym_rows = [0] * (n_syms + 1)
+        for r, c, s in cells:
+            row_deg[r] += 1
+            col_deg[c] += 1
+            sym_deg[s] += 1
+            col_rows[c] |= 1 << r
+            sym_rows[s] |= 1 << r
+        every_row = (1 << (n_rows + 1)) - 2
+        for r, c, s in cells:
+            # a lone cell of its row whose column or symbol meets every row
+            if row_deg[r] == 1 and col_rows[c] | sym_rows[s] == every_row:
+                steps.append(_Step(order, "removable-triple", sigma, r))
+                return tuple(steps)
+        start = 0
+        for row in range(1, n_rows + 1):
+            end = start + row_deg[row]
+            # a line cell keeps its column (symbol) in p' iff that has degree > 1
+            c1 = s1 = 0
+            for _, c, s in cells[start:end]:
+                in_c, in_s = col_deg[c] > 1, sym_deg[s] > 1
+                if in_c and in_s:
+                    break
+                c1 += in_c
+                s1 += in_s
+            else:
+                # p' keeps n_cols - ell + c1 columns and n_syms - ell + s1 symbols
+                ell = end - start
+                threshold = max(
+                    n_rows + c1 * (n_syms - ell + s1 - 1) + s1 * (n_cols - ell + c1 - 1),
+                    n_cols + n_syms - ell,
+                )
+                if best is None or threshold < best:
+                    best = threshold
+                    steps.append(_Step(threshold, "shift-line", sigma, row))
+                    if threshold == order:
+                        return tuple(steps)
+            start = end
+    return tuple(steps)
+
+
+def _first_step(p: PLS, n: int) -> Optional[_Step]:
+    return next((step for step in _plan(p) if step.threshold <= n), None)
+
+
+def _apply(p: PLS, step: _Step) -> tuple[tuple[Triple, ...], Optional[PLS]]:
+    """The cells `step` removes from the image of p, and the reduced square."""
+    q = parastrophe(p, step.sigma)
+    removed = tuple(t for t in q.triples if t.row == step.row)
+    return removed, _residue([t for t in q.triples if t.row != step.row])
+
+
+@lru_cache(maxsize=1 << 16)
+def _reduced_key(p: PLS, step: _Step) -> Optional[bytes]:
+    # keyed on the densely relabelled remainder, as enumeration keys squares
+    reduced = _apply(p, step)[1]
+    return None if reduced is None else canonical_form(reduced).blob
+
+
 def reducible(p: PLS, n: int) -> Optional[ReductionCertificate]:
     """First reduction certificate found, or None.
 
     Deterministic scan: parastrophes in fixed lexicographic order; within
     each image the deletion rule over triples in sorted order, then the
-    line-shift rule over rows in increasing order.
+    line-shift rule over rows in increasing order.  The scan is answered
+    from a plan built once per square, which holds for every n.
     """
-    for sigma in ALL_PARASTROPHES:
-        q = parastrophe(p, sigma)
-        if q.order <= n:
-            for t in q.triples:
-                if removable_triple(q, t, n):
-                    return ReductionCertificate(
-                        "removable-triple",
-                        sigma,
-                        (t,),
-                        _residue([u for u in q.triples if u != t]),
-                        n,
-                    )
-        for row in range(1, q.n_rows + 1):
-            if shift_line(q, row, n):
-                line = tuple(u for u in q.triples if u.row == row)
-                return ReductionCertificate(
-                    "shift-line",
-                    sigma,
-                    line,
-                    _residue([u for u in q.triples if u.row != row]),
-                    n,
-                )
-    return None
-
-
-def row_cycle_species(p: PLS) -> Optional[int]:
-    """The cycle length l if p lies in the species of the two-row l-cycle."""
-    return row_cycle_length(p)
+    step = _first_step(p, n)
+    if step is None:
+        return None
+    removed, reduced = _apply(p, step)
+    return ReductionCertificate(step.rule, step.sigma, removed, reduced, n)
 
 
 def _fast_path_embeds(p: PLS, n: int) -> bool:
@@ -174,7 +248,7 @@ def screen_size(size: int, n: int) -> list[SpeciesKey]:
     for rep in reps:
         if _fast_path_embeds(rep, n):
             continue
-        if reducible(rep, n) is not None:
+        if _first_step(rep, n) is not None:
             continue
         out.append(canonical_form(rep))
     return out
@@ -292,22 +366,25 @@ def _classify_one(
     if use_screening:
         if _fast_path_embeds(rep, n):
             return _Classification(blob, True, False, "transversal-bound", None)
-        cert = reducible(rep, n)
-        if cert is not None:
-            if cert.reduced is None:
-                return _Classification(blob, True, False, "reduction", None)
-            if known.get(canonical_form(cert.reduced).blob):
+        step = _first_step(rep, n)
+        if step is not None:
+            reduced = _reduced_key(rep, step)
+            if reduced is None or known.get(reduced):
                 return _Classification(blob, True, False, "reduction", None)
     verdict = embeds_in_class(rep, groups)
     if verdict.embeds_in_some:
         return _Classification(blob, True, True, "search", None)
     certificate = None
     # a violation in any parastrophe image rules out every group, since
-    # same-species squares embed alike
-    for sigma in ALL_PARASTROPHES:
-        if quadrangle_violation(parastrophe(rep, sigma)):
-            certificate = {"kind": "quadrangle", "parastrophe": list(sigma.perm)}
-            break
+    # same-species squares embed alike; embeds_in_class has already tested
+    # the identity image, ALL_PARASTROPHES[0]
+    if verdict.verdicts[0].method == "quadrangle":
+        certificate = {"kind": "quadrangle", "parastrophe": list(ALL_PARASTROPHES[0].perm)}
+    else:
+        for sigma in ALL_PARASTROPHES[1:]:
+            if quadrangle_violation(parastrophe(rep, sigma)):
+                certificate = {"kind": "quadrangle", "parastrophe": list(sigma.perm)}
+                break
     if certificate is None:
         length = row_cycle_length(rep)
         if length is not None and n % length:

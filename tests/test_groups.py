@@ -77,6 +77,36 @@ class TestValidation:
         t = found
         assert t[t[a][b]][c] != t[a][t[b][c]]
 
+    def test_not_associative_loop_of_order_260(self):
+        # Z260 with the intercalate on rows and columns {1, 131} swapped is
+        # still a loop, but (1*1)*2 = 134 while 1*(1*2) = 4
+        n = 260
+        t = [[(i + j) % n for j in range(n)] for i in range(n)]
+        for i in (1, 131):
+            for j in (1, 131):
+                t[i][j] = 134 - t[i][j]
+        with pytest.raises(NotAssociative) as exc:
+            group_from_table(t)
+        a, b, c = exc.value.witness
+        assert t[t[a][b]][c] != t[a][t[b][c]]
+
+    def test_not_associative_past_first_generator(self):
+        # L x Z2 with L = Z6 and its intercalate on {1, 4} swapped; element
+        # 2l + g is (l, g), so element 1 = (0, 1) associates with everything
+        # and only a later generator exposes the loop
+        loop = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+        for i in (1, 4):
+            for j in (1, 4):
+                loop[i][j] = 7 - loop[i][j]
+        t = [
+            [2 * loop[x // 2][y // 2] + (x + y) % 2 for y in range(12)]
+            for x in range(12)
+        ]
+        with pytest.raises(NotAssociative) as exc:
+            group_from_table(t)
+        a, b, c = exc.value.witness
+        assert b != 1 and t[t[a][b]][c] != t[a][t[b][c]]
+
 
 def _complete_latin(rows, used):
     if len(rows) == 5:

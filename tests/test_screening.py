@@ -6,6 +6,7 @@ from cayley_embed import (
     IncompleteClass,
     OrderExceedsN,
     PSI_RESULT_SCHEMA,
+    ReductionCertificate,
     RowNotInP,
     Triple,
     TripleNotInP,
@@ -23,7 +24,7 @@ from cayley_embed import (
     psi,
     reducible,
     removable_triple,
-    row_cycle_species,
+    row_cycle_length,
     screen_size,
     shift_line,
     sub_species_contains,
@@ -122,16 +123,44 @@ class TestReducible:
         cert = reducible(validate_pls([(1, 1, 1)]), 1)
         assert cert is not None and cert.reduced is None
 
+    def test_matches_first_certificate_scan(self):
+        # reducible answers from a plan built once per square; the reference
+        # is the scan it replaces, run afresh at every n
+        species = enumerate_species(6)
+        for size in range(1, 7):
+            for rep in species[size]:
+                want = {n: _first_certificate(rep, n) for n in range(1, 31)}
+                for n in [*range(30, 0, -1), *range(1, 31)]:
+                    assert reducible(rep, n) == want[n], (rep.triples, n)
+
+
+def _first_certificate(p, n):
+    for sigma in ALL_PARASTROPHES:
+        q = parastrophe(p, sigma)
+        if q.order <= n:
+            for t in q.triples:
+                if removable_triple(q, t, n):
+                    rest = [u for u in q.triples if u != t]
+                    reduced = validate_pls(sorted(rest)) if rest else None
+                    return ReductionCertificate("removable-triple", sigma, (t,), reduced, n)
+        for row in range(1, q.n_rows + 1):
+            if shift_line(q, row, n):
+                line = tuple(u for u in q.triples if u.row == row)
+                rest = [u for u in q.triples if u.row != row]
+                reduced = validate_pls(sorted(rest)) if rest else None
+                return ReductionCertificate("shift-line", sigma, line, reduced, n)
+    return None
+
 
 class TestRowCycleSpecies:
     def test_direct_and_transposed(self):
-        assert row_cycle_species(gen_row_cycle(3)) == 3
+        assert row_cycle_length(gen_row_cycle(3)) == 3
         from cayley_embed import TRANSPOSE
 
-        assert row_cycle_species(parastrophe(gen_row_cycle(4), TRANSPOSE)) == 4
+        assert row_cycle_length(parastrophe(gen_row_cycle(4), TRANSPOSE)) == 4
 
     def test_negative(self):
-        assert row_cycle_species(fixtures()["nonab"]) is None
+        assert row_cycle_length(fixtures()["nonab"]) is None
 
 
 class TestScreenSize:
