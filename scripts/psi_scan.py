@@ -20,7 +20,6 @@ from cayley_embed import groups_of_order, psi
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-n", type=int, default=16)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
 
@@ -29,12 +28,12 @@ def main() -> int:
     for n in range(1, args.max_n + 1):
         entry = {"n": n}
         if n <= 16:
-            r = psi(n, "group", workers=args.threads)
+            r = psi(n, "group")
             entry["psi"] = r.psi
             entry["psi_obstacles"] = len(r.obstacles)
             entry["groups"] = len(groups_of_order(n))
         for variant, tag in (("abelian", "psi_plus"), ("cyclic", "psi_circ")):
-            r = psi(n, variant, workers=args.threads)
+            r = psi(n, variant)
             entry[tag] = r.psi
             entry[f"{tag}_obstacles"] = len(r.obstacles)
         rows.append(entry)

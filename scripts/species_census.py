@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Census of PLS species by size, with per-level timing and key digests.
+"""Census of PLS species by size, with per-level timing, key counts and digests.
 
     python scripts/species_census.py --max-size 7
 
-Each size line ends with the SHA-256 of that level's species keys,
+Each size line gives the number of species keys the enumeration of that
+level computed: cache misses of the key function plus the parents it
+encoded directly, for their symmetries.  These counts do not depend on the
+machine.  The line ends with the SHA-256 of that level's species keys,
 concatenated in order; the total line gives the SHA-256 over all levels
 1..max-size in order, so two enumerations can be compared byte for byte.
 """
@@ -15,6 +18,7 @@ import hashlib
 import time
 
 from cayley_embed import canonical_form, enumerate_species
+from cayley_embed.pls import _canonical_blob, _LeastEncoding
 
 
 def main() -> int:
@@ -22,20 +26,32 @@ def main() -> int:
     ap.add_argument("--max-size", type=int, default=7)
     args = ap.parse_args()
 
-    prev = 0.0
-    total = hashlib.sha256()
+    # all levels are enumerated before any key is taken for the digests, so
+    # that each level's count is what one enumerate_species call computes
+    rows = []
     for m in range(1, args.max_size + 1):
+        misses, runs = _canonical_blob.cache_info().misses, _LeastEncoding.runs
         t0 = time.time()
         levels = enumerate_species(m)
         dt = time.time() - t0
+        keys = _LeastEncoding.runs - runs
+        parents = keys - (_canonical_blob.cache_info().misses - misses)
+        rows.append((dt, keys, parents))
+    total = hashlib.sha256()
+    for m, (dt, keys, parents) in enumerate(rows, start=1):
         level = hashlib.sha256()
         for rep in levels[m]:
             blob = canonical_form(rep).blob
             level.update(blob)
             total.update(blob)
-        print(f"size {m}: {len(levels[m]):>6} species   (+{dt:.2f} s)   sha256 {level.hexdigest()}")
-        prev += dt
-    print(f"total {prev:.2f} s   sha256 {total.hexdigest()}")
+        print(
+            f"size {m}: {len(levels[m]):>6} species   (+{dt:.2f} s)   "
+            f"keys {keys:>6} ({parents} parents)   sha256 {level.hexdigest()}"
+        )
+    print(
+        f"total {sum(r[0] for r in rows):.2f} s   keys {sum(r[1] for r in rows)}   "
+        f"sha256 {total.hexdigest()}"
+    )
     return 0
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -105,18 +104,6 @@ def _load_group(spec: str):
         return parse_group_spec(spec)
     except (ParameterOutOfRange, NotLatin, NoIdentity, NotAssociative, ClosureTooLarge, OSError) as exc:
         raise _ParseFailure(f"cannot build group from {spec!r}: {exc}") from exc
-
-
-def _threads(flag_value: Optional[int]) -> int:
-    env = os.environ.get("CAYLEY_EMBED_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageError(f"CAYLEY_EMBED_THREADS must be an integer, got {env!r}") from None
-    if flag_value is not None:
-        return max(1, flag_value)
-    return os.cpu_count() or 1
 
 
 def cmd_species(args) -> int:
@@ -214,7 +201,6 @@ def cmd_psi(args) -> int:
             args.variant,
             groups,
             assume_complete=args.assume_complete,
-            workers=_threads(args.threads),
         )
     except (IncompleteClass, OrderUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -373,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--variant", choices=("group", "abelian", "cyclic"), default="group")
     ps.add_argument("--groups", nargs="*", help="table files forming the complete class")
     ps.add_argument("--assume-complete", action="store_true")
-    ps.add_argument("--threads", type=int, default=None)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(fn=cmd_psi)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .pls import ParameterOutOfRange
@@ -513,12 +512,6 @@ _PAULI = {
 
 def _pauli16() -> Group:
     # the order-16 central product of D8 and Z4: phases i^k times I, X, Y, Z
-    def mul(x, y):
-        k1, p1 = divmod(x, 4)
-        k2, p2 = divmod(y, 4)
-        ph, p = _PAULI[(p1, p2)]
-        return ((k1 + k2 + ph) % 4) * 4 + p
-
     # index = 4*phase + pauli  -> regroup so identity lands at 0
     table = [[0] * 16 for _ in range(16)]
     for a in range(16):
@@ -742,6 +735,3 @@ def format_group_file(g: Group) -> str:
     lines += [" ".join(str(x) for x in row) for row in g.table]
     return "\n".join(lines) + "\n"
 
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

@@ -70,9 +70,6 @@ class PLS:
     def cell_map(self) -> dict[tuple[int, int], int]:
         return {(t.row, t.col): t.sym for t in self.triples}
 
-    def row_ids(self) -> range:
-        return range(1, self.n_rows + 1)
-
     def __str__(self) -> str:
         return format_grid(self)
 
@@ -232,24 +229,25 @@ _SHIFT = 16
 
 @lru_cache(maxsize=1 << 18)
 def _canonical_blob(triples: tuple[Sequence[int], ...]) -> bytes:
-    mask = (1 << _SHIFT) - 1
-    return bytes(
-        x
-        for code in _LeastEncoding(triples).best
-        for x in (code >> 2 * _SHIFT, code >> _SHIFT & mask, code & mask)
-    )
+    return _LeastEncoding(triples).blob()
 
 
 class _LeastEncoding:
     """The least encoding of a triple set, as packed label triples in ``best``.
 
     Triple ids need not be dense.  A line gets the flat id k * width + x for
-    value x of coordinate k, whatever role a parastrophe gives it, and
-    autotopisms are kept as one permutation of the ids of each coordinate,
-    so that every parastrophe can use them.
+    value x of coordinate k, whatever role a parastrophe gives it.  The
+    symmetries met on the way are kept as permutations of the flat ids:
+    autotopisms in ``autos`` (each coordinate onto itself, so that every
+    parastrophe can use them) and autoparatopisms in ``paras`` (one per
+    parastrophe found isotopic to an earlier one).  ``runs`` counts the
+    encodings computed in this process.
     """
 
+    runs = 0
+
     def __init__(self, triples: Sequence[Sequence[int]]):
+        _LeastEncoding.runs += 1
         self.width = width = max(max(t) for t in triples) + 1
         self.flat = [[k * width + t[k] for t in triples] for k in range(3)]
         self.cells_on: list[list[int]] = [[] for _ in range(3 * width)]
@@ -263,10 +261,19 @@ class _LeastEncoding:
         self.best_labels: list[int] = []
         self.best_path: list[int] = []
         self.autos: list[list[int]] = []
+        self.paras: list[list[int]] = []
         degree = [max(map(len, self.cells_on[k * width : (k + 1) * width])) for k in range(3)]
         for perm in _PERMS:
             if degree[perm[0]] == max(degree):
                 self._search(perm)
+
+    def blob(self) -> bytes:
+        mask = (1 << _SHIFT) - 1
+        return bytes(
+            x
+            for code in self.best
+            for x in (code >> 2 * _SHIFT, code >> _SHIFT & mask, code & mask)
+        )
 
     def _search(self, perm: tuple[int, ...]) -> None:
         width = self.width
@@ -425,15 +432,21 @@ class _LeastEncoding:
                 self.best_labels = labels
                 self.best_path = path[:]
                 version += 1
-            elif self.best_perm != perm:
+                return
+            # each line goes to the line with its label and its role at the
+            # best leaf; a coordinate keeps its role unless a parastrophe
+            # isotopic to the best one was found
+            to = [self.best_perm[perm.index(k)] for k in range(3)]
+            back = {(v // width, lab): v for v, lab in enumerate(self.best_labels) if lab}
+            image = [
+                back[(to[v // width], lab)] if lab else to[v // width] * width + v % width
+                for v, lab in enumerate(labels)
+            ]
+            if self.best_perm != perm:
+                self.paras.append(image)
                 jump = -1
             else:
-                # each line goes to the line of its coordinate that has its
-                # label at the best leaf
-                back = {(v // width, lab): v for v, lab in enumerate(self.best_labels) if lab}
-                self.autos.append(
-                    [back[(v // width, lab)] if lab else v for v, lab in enumerate(labels)]
-                )
+                self.autos.append(image)
                 # below the node where the two paths part, this subtree is
                 # the image of the explored one: go back to that node
                 bp = self.best_path
@@ -511,6 +524,17 @@ class _LeastEncoding:
 # only found among the children of that one representative (isomorphic
 # siblings still meet in the key set), and most children are rejected on the
 # profile alone, before any key is computed.
+#
+# Each parent is also extended only once per orbit of its symmetries (McKay,
+# same paper): the parent's own key search yields its key together with the
+# autotopisms and autoparatopisms it meets, and a union-find pass over the
+# triples of the grown box keeps the first triple of each orbit of the group
+# they generate, a new line going to the new line of its image coordinate.
+# Any subgroup of the parent's automorphism group will do: two triples that
+# an automorphism maps onto each other give isomorphic children, with the
+# same key and the same canonical-deletion verdict, so the keys kept, and
+# the representatives and their order, do not depend on which symmetries the
+# search happened to find.
 
 _species_lock = threading.Lock()
 _species_levels: list[list[PLS]] = []
@@ -542,8 +566,9 @@ def _species_level(m: int) -> list[PLS]:
             else:
                 keys: set[bytes] = set()
                 for parent in _species_levels[-1]:
-                    parent_key = _canonical_blob(parent.triples)
-                    for cells, added in _extensions(parent):
+                    enc = _LeastEncoding(parent.triples)
+                    parent_key = enc.blob()
+                    for cells, added in _extensions(parent, _box_symmetries(parent, enc)):
                         if _canonical_deletion(cells, added, parent_key):
                             keys.add(_canonical_blob(cells))
                 level = [SpeciesKey(b).to_pls() for b in sorted(keys)]
@@ -551,21 +576,78 @@ def _species_level(m: int) -> list[PLS]:
     return _species_levels[m - 1]
 
 
-def _extensions(p: PLS):
-    """Each (cells, added): p plus one triple in its bounding box grown by one."""
+class _BoxSymmetry(NamedTuple):
+    """A symmetry of a PLS acting on its bounding box grown by one.
+
+    Value x of coordinate k goes to value ``maps[k][x]`` of coordinate
+    ``to[k]``; ``maps[k][0]`` is unused.
+    """
+
+    to: tuple[int, ...]
+    maps: tuple[list[int], ...]
+
+    def image(self, t: Sequence[int]) -> Triple:
+        out = [0, 0, 0]
+        for k in range(3):
+            out[self.to[k]] = self.maps[k][t[k]]
+        return Triple(*out)
+
+
+def _box_symmetries(p: PLS, enc: _LeastEncoding) -> list[_BoxSymmetry]:
+    """The symmetries of p that its key search found, on the grown box.
+
+    The new line of each coordinate goes to the new line of the image
+    coordinate.
+    """
+    w = enc.width
+    counts = (p.n_rows, p.n_cols, p.n_syms)
+    out = []
+    for g in enc.autos + enc.paras:
+        to = tuple(g[k * w + 1] // w for k in range(3))
+        maps = tuple(
+            [0] + [g[k * w + x] % w for x in range(1, counts[k] + 1)] + [counts[to[k]] + 1]
+            for k in range(3)
+        )
+        out.append(_BoxSymmetry(to, maps))
+    return out
+
+
+def _extensions(p: PLS, symmetries: Sequence[_BoxSymmetry] = ()):
+    """Each (cells, added): p plus one triple in its bounding box grown by one.
+
+    With `symmetries`, only the first triple of each orbit of the group they
+    generate is added.
+    """
     by_rc = {(t.row, t.col) for t in p.triples}
     by_rs = {(t.row, t.sym) for t in p.triples}
     by_cs = {(t.col, t.sym) for t in p.triples}
+    added = [
+        Triple(r, c, s)
+        for r in range(1, p.n_rows + 2)
+        for c in range(1, p.n_cols + 2)
+        if (r, c) not in by_rc
+        for s in range(1, p.n_syms + 2)
+        if (r, s) not in by_rs and (c, s) not in by_cs
+    ]
+    if symmetries:
+        # union-find whose roots are the least index of their class
+        index = {t: i for i, t in enumerate(added)}
+        root = list(range(len(added)))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for g in symmetries:
+            for i, t in enumerate(added):
+                a, b = find(i), find(index[g.image(t)])
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+        added = [t for i, t in enumerate(added) if find(i) == i]
     base = p.triples
-    for r in range(1, p.n_rows + 2):
-        for c in range(1, p.n_cols + 2):
-            if (r, c) in by_rc:
-                continue
-            for s in range(1, p.n_syms + 2):
-                if (r, s) in by_rs or (c, s) in by_cs:
-                    continue
-                added = Triple(r, c, s)
-                yield tuple(sorted(base + (added,))), added
+    for t in added:
+        yield tuple(sorted(base + (t,))), t
 
 
 def _canonical_deletion(cells: tuple[Triple, ...], added: Triple, parent_key: bytes) -> bool:

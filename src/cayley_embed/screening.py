@@ -12,7 +12,6 @@ itself proved embeddable for the same (n, variant).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
@@ -394,11 +393,6 @@ def _classify_one(
     return _Classification(blob, False, True, "search", certificate)
 
 
-def _classify_chunk(args) -> list[_Classification]:
-    reps, n, groups, known, use_screening = args
-    return [_classify_one(rep, n, groups, known, use_screening) for rep in reps]
-
-
 def psi(
     n: int,
     variant: str = "group",
@@ -406,7 +400,6 @@ def psi(
     *,
     assume_complete: bool = False,
     use_screening: bool = True,
-    workers: int = 1,
 ) -> PsiResult:
     """Compute psi for the given order and variant, with its obstacle species.
 
@@ -440,7 +433,7 @@ def psi(
     survivor_counts: dict[int, int] = {}
     for size in range(1, cap + 1):
         reps = enumerate_species(size)[size]
-        results = _classify_level(reps, n, groups, known, use_screening, workers)
+        results = [_classify_one(rep, n, groups, known, use_screening) for rep in reps]
         survivor_counts[size] = sum(1 for r in results if r.searched)
         for r in results:
             known[r.key_blob] = r.embeddable
@@ -453,23 +446,3 @@ def psi(
             return PsiResult(n, variant, size - 1, obstacles, survivor_counts)
     raise RuntimeError(f"no obstacle found for n={n} within size cap {cap}")
 
-
-def _classify_level(reps, n, groups, known, use_screening, workers):
-    if workers <= 1 or len(reps) < 32:
-        return [_classify_one(rep, n, groups, known, use_screening) for rep in reps]
-    chunks = [reps[i::workers] for i in range(workers)]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _classify_chunk,
-                    [(chunk, n, list(groups), dict(known), use_screening) for chunk in chunks],
-                )
-            )
-    except OSError:
-        return [_classify_one(rep, n, groups, known, use_screening) for rep in reps]
-    by_blob = {}
-    for part in parts:
-        for r in part:
-            by_blob[r.key_blob] = r
-    return [by_blob[canonical_form(rep).blob] for rep in reps]

@@ -121,7 +121,7 @@ class TestPsi:
         code, payload, _ = run_json(
             capsys,
             "psi", "--n", "5", "--variant", "group",
-            "--groups", str(path), "--assume-complete", "--threads", "1",
+            "--groups", str(path), "--assume-complete",
         )
         assert code == 0 and payload["results"]["psi"] == 3
 
@@ -172,20 +172,6 @@ class TestDiagPartition:
     def test_invalid_partition(self, capsys):
         code, _, _ = run(capsys, "diag-partition", "--group", "cyclic:5", "--partition", "3,3")
         assert code == 2
-
-
-class TestThreads:
-    def test_env_var_overrides_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("CAYLEY_EMBED_THREADS", "1")
-        code, payload, _ = run_json(
-            capsys, "psi", "--n", "5", "--variant", "cyclic", "--threads", "4"
-        )
-        assert code == 0 and payload["results"]["psi"] == 3
-
-    def test_non_integer_env_var_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("CAYLEY_EMBED_THREADS", "abc")
-        code, _, err = run(capsys, "psi", "--n", "3")
-        assert code == 2 and err.startswith("error:") and "CAYLEY_EMBED_THREADS" in err
 
 
 class TestReports:

@@ -33,6 +33,7 @@ from cayley_embed import (
     sub_species_contains,
     validate_pls,
 )
+from cayley_embed.pls import _box_symmetries, _extensions, _LeastEncoding
 from cayley_embed.verify import random_pls, scramble
 
 
@@ -192,6 +193,29 @@ class TestEnumeration:
         assert digest.hexdigest() == (
             "b7cc4582bbf408f8f5e1b34061a949892ddde31f0013dcfa57a1bf8d54fa86e5"
         )
+
+    def test_pruning_symmetries_are_symmetries(self, rng):
+        # enumeration extends a parent once per orbit of the autotopisms and
+        # autoparatopisms its key search records; each must map the square
+        # onto itself and its grown box onto itself, new lines onto new lines
+        found = {"autos": 0, "paras": 0}
+        for reps in enumerate_species(6).values():
+            for rep in reps:
+                for p in [rep, scramble(rng, rep), scramble(rng, rep)]:
+                    enc = _LeastEncoding(p.triples)
+                    found["autos"] += len(enc.autos)
+                    found["paras"] += len(enc.paras)
+                    counts = (p.n_rows, p.n_cols, p.n_syms)
+                    added = {t for _, t in _extensions(p)}
+                    for g in _box_symmetries(p, enc):
+                        assert sorted(g.to) == [0, 1, 2]
+                        for k in range(3):
+                            image = counts[g.to[k]]
+                            assert sorted(g.maps[k][1:]) == list(range(1, image + 2))
+                            assert g.maps[k][counts[k] + 1] == image + 1
+                        assert {g.image(t) for t in p.triples} == set(p.triples)
+                        assert {g.image(t) for t in added} == added
+        assert found["autos"] and found["paras"]
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):

@@ -152,17 +152,6 @@ def _first_certificate(p, n):
     return None
 
 
-class TestRowCycleSpecies:
-    def test_direct_and_transposed(self):
-        assert row_cycle_length(gen_row_cycle(3)) == 3
-        from cayley_embed import TRANSPOSE
-
-        assert row_cycle_length(parastrophe(gen_row_cycle(4), TRANSPOSE)) == 4
-
-    def test_negative(self):
-        assert row_cycle_length(fixtures()["nonab"]) is None
-
-
 class TestScreenSize:
     def test_size4_order7_survivors(self):
         got = set(screen_size(4, 7))
@@ -239,12 +228,6 @@ class TestPsi:
             pa = psi(n, "abelian").psi
             pg = psi(n, "group").psi
             assert pc <= pa <= pg
-
-    def test_workers_match_serial(self):
-        a = psi(6, "group")
-        b = psi(6, "group", workers=2)
-        assert a.psi == b.psi
-        assert [o.species_key for o in a.obstacles] == [o.species_key for o in b.obstacles]
 
 
 class TestObstacleCertificates:
