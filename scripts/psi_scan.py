@@ -6,6 +6,9 @@ psi_plus (abelian groups) and psi_circ (the cyclic group), with obstacle
 counts, e.g.:
 
     python scripts/psi_scan.py --max-n 16
+
+With --json each entry also carries the survivor counts per size, so a diff of
+two outputs also checks that the screen settled the same species.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ def main() -> int:
             r = psi(n, "group")
             entry["psi"] = r.psi
             entry["psi_obstacles"] = len(r.obstacles)
+            entry["psi_survivor_counts"] = r.to_json()["survivor_counts"]
             entry["groups"] = len(groups_of_order(n))
         for variant, tag in (("abelian", "psi_plus"), ("cyclic", "psi_circ")):
             r = psi(n, variant)
             entry[tag] = r.psi
             entry[f"{tag}_obstacles"] = len(r.obstacles)
+            entry[f"{tag}_survivor_counts"] = r.to_json()["survivor_counts"]
         rows.append(entry)
 
     if args.json:

@@ -37,12 +37,10 @@ from .groups import (
     dicyclic,
     dihedral,
     direct_product,
-    element_order,
     format_group_file,
     from_perm_generators,
     group_from_table,
     groups_of_order,
-    is_abelian,
     isomorphic,
     opposite,
     parse_group_file,

@@ -8,7 +8,6 @@ triple are known the third is forced by the group operation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Sequence
@@ -310,6 +309,11 @@ def transversal_bound(n: int) -> int:
     return n - isqrt(n)
 
 
+def transversal_fast_path(t_species: bool, size: int, n: int) -> bool:
+    """A t-species within the transversal bound embeds in every group of order n."""
+    return t_species and size <= transversal_bound(n)
+
+
 def _partial_transversal(g: Group, m: int, node_limit: int) -> Optional[list[tuple[int, int, int]]]:
     """m cells of g's table in increasing rows, distinct columns and products."""
     n = g.order
@@ -374,9 +378,10 @@ def find_embedding(
     n = g.order
     if p.n_rows > n or p.n_cols > n or p.n_syms > n:
         return EmbedVerdict(False, obstruction="exhausted-search")
-    if is_t_species(p):
-        if not paranoid and p.size <= transversal_bound(n):
-            return EmbedVerdict(True, method="transversal-bound")
+    t_species = is_t_species(p)
+    if not paranoid and transversal_fast_path(t_species, p.size, n):
+        return EmbedVerdict(True, method="transversal-bound")
+    if t_species:
         cells = _partial_transversal(g, p.size, node_limit)
         if cells is None:
             return EmbedVerdict(False, obstruction="exhausted-search")
@@ -539,7 +544,3 @@ def embed_diagonal_partition(
     if rec(0):
         return True, perm
     return False, None
-
-
-def witness_to_json_text(w: EmbeddingWitness) -> str:
-    return json.dumps(w.to_json(), sort_keys=True)

@@ -303,17 +303,6 @@ def opposite(g: Group) -> Group:
     return _finalize(list(table), f"{g.name}^op", check_assoc=False)
 
 
-def element_order(g: Group, x: int) -> int:
-    """Least m >= 1 with x^m = identity."""
-    if not 0 <= x < g.order:
-        raise ParameterOutOfRange(f"element {x} out of range for order {g.order}")
-    return g.element_orders[x]
-
-
-def is_abelian(g: Group) -> bool:
-    return g.abelian
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism testing: invariant screen, then backtracking over generator
 # images with a full homomorphism verification before accepting.

@@ -757,6 +757,9 @@ def row_cycle_length(p: PLS) -> Optional[int]:
     if p.size % 2 or p.size < 4:
         return None
     length = p.size // 2
+    # the species keeps two lines of one role and `length` of each other role
+    if sorted((p.n_rows, p.n_cols, p.n_syms)) != [2, length, length]:
+        return None
     if _canonical_blob(p.triples) == _row_cycle_blob(length):
         return length
     return None

@@ -5,8 +5,11 @@ order n; psi_plus restricts to abelian groups and psi_circ to the cyclic
 group.  A species of size psi+1 embedding in no admissible group is an
 obstacle.  The pipeline screens species with two reduction rules (applied
 over all six parastrophes) plus the diagonal transversal bound, and settles
-the survivors by exact search.  Screening is advisory only: a species is
-never declared embeddable off a reduction unless its reduced square was
+the survivors by exact search, host by host up to the first that embeds;
+certificates are built for obstacles only.  What it reads of a species for
+every n (key, reduction plan, identity-image quadrangle verdict, row-cycle
+length) is recorded once per process.  Screening is advisory only: a species
+is never declared embeddable off a reduction unless its reduced square was
 itself proved embeddable for the same (n, variant).
 """
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .embed import embeds_in_class, quadrangle_violation, transversal_bound
+from .embed import find_embedding, quadrangle_violation, transversal_fast_path
 from .groups import Group, OrderUnsupported, abelian_groups_of_order, cyclic, groups_of_order
 from .pls import (
     ALL_PARASTROPHES,
@@ -194,22 +197,11 @@ def _plan(p: PLS) -> tuple[_Step, ...]:
     return tuple(steps)
 
 
-def _first_step(p: PLS, n: int) -> Optional[_Step]:
-    return next((step for step in _plan(p) if step.threshold <= n), None)
-
-
 def _apply(p: PLS, step: _Step) -> tuple[tuple[Triple, ...], Optional[PLS]]:
     """The cells `step` removes from the image of p, and the reduced square."""
     q = parastrophe(p, step.sigma)
     removed = tuple(t for t in q.triples if t.row == step.row)
     return removed, _residue([t for t in q.triples if t.row != step.row])
-
-
-@lru_cache(maxsize=1 << 16)
-def _reduced_key(p: PLS, step: _Step) -> Optional[bytes]:
-    # keyed on the densely relabelled remainder, as enumeration keys squares
-    reduced = _apply(p, step)[1]
-    return None if reduced is None else canonical_form(reduced).blob
 
 
 def reducible(p: PLS, n: int) -> Optional[ReductionCertificate]:
@@ -220,17 +212,53 @@ def reducible(p: PLS, n: int) -> Optional[ReductionCertificate]:
     line-shift rule over rows in increasing order.  The scan is answered
     from a plan built once per square, which holds for every n.
     """
-    step = _first_step(p, n)
+    step = next((step for step in _plan(p) if step.threshold <= n), None)
     if step is None:
         return None
     removed, reduced = _apply(p, step)
     return ReductionCertificate(step.rule, step.sigma, removed, reduced, n)
 
 
-def _fast_path_embeds(p: PLS, n: int) -> bool:
-    """Diagonal squares with all-distinct symbols embed in every order-n group
-    once their size is within the transversal bound."""
-    return is_t_species(p) and p.size <= transversal_bound(n)
+class _Record(NamedTuple):
+    """What psi and screen_size read of one representative, for every n.
+
+    `steps` pairs each plan threshold with the key of the remainder the step
+    leaves; `quadrangle` is the identity image's quadrangle verdict.
+    """
+
+    rep: PLS
+    key: bytes
+    t_species: bool
+    steps: tuple[tuple[int, bytes], ...]
+    quadrangle: bool
+    cycle: Optional[int]
+
+
+def _reduced_key(p: PLS, step: _Step) -> bytes:
+    # keyed on the densely relabelled remainder, as enumeration keys squares;
+    # b"" stands for the empty remainder of a step that removes the whole square
+    reduced = _apply(p, step)[1]
+    return b"" if reduced is None else canonical_form(reduced).blob
+
+
+@lru_cache(maxsize=None)
+def _records(size: int) -> tuple[_Record, ...]:
+    return tuple(
+        _Record(
+            rep,
+            bytes(x for t in rep.triples for x in t),  # its own least encoding
+            is_t_species(rep),
+            tuple((step.threshold, _reduced_key(rep, step)) for step in _plan(rep)),
+            quadrangle_violation(rep),
+            row_cycle_length(rep),
+        )
+        for rep in enumerate_species(size)[size]
+    )
+
+
+def _reduced(rec: _Record, n: int) -> Optional[bytes]:
+    """Key of the remainder left by the first plan step that holds at n, if any."""
+    return next((key for threshold, key in rec.steps if threshold <= n), None)
 
 
 def screen_size(size: int, n: int) -> list[SpeciesKey]:
@@ -242,15 +270,11 @@ def screen_size(size: int, n: int) -> list[SpeciesKey]:
     """
     if not 1 <= size <= MAX_SCREEN_SIZE:
         raise ValueError(f"screening supports sizes 1..{MAX_SCREEN_SIZE}, got {size}")
-    reps = enumerate_species(size)[size]
-    out = []
-    for rep in reps:
-        if _fast_path_embeds(rep, n):
-            continue
-        if _first_step(rep, n) is not None:
-            continue
-        out.append(canonical_form(rep))
-    return out
+    return [
+        SpeciesKey(rec.key)
+        for rec in _records(size)
+        if not transversal_fast_path(rec.t_species, size, n) and _reduced(rec, n) is None
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -345,52 +369,31 @@ def default_group_class(n: int, variant: str) -> list[Group]:
     raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-@dataclass(frozen=True)
-class _Classification:
-    key_blob: bytes
-    embeddable: bool
-    searched: bool
-    method: str
-    certificate: Optional[dict]
+def _embeds_in_some(rec: _Record, groups: Sequence[Group]) -> bool:
+    """Search the hosts in turn up to the first that embeds rec's square."""
+    if rec.quadrangle:
+        return False
+    return any(
+        find_embedding(rec.rep, g).embeddable
+        for g in groups
+        if rec.cycle is None or g.order % rec.cycle == 0
+    )
 
 
-def _classify_one(
-    rep: PLS,
-    n: int,
-    groups: Sequence[Group],
-    known: dict[bytes, bool],
-    use_screening: bool,
-) -> _Classification:
-    blob = canonical_form(rep).blob
-    if use_screening:
-        if _fast_path_embeds(rep, n):
-            return _Classification(blob, True, False, "transversal-bound", None)
-        step = _first_step(rep, n)
-        if step is not None:
-            reduced = _reduced_key(rep, step)
-            if reduced is None or known.get(reduced):
-                return _Classification(blob, True, False, "reduction", None)
-    verdict = embeds_in_class(rep, groups)
-    if verdict.embeds_in_some:
-        return _Classification(blob, True, True, "search", None)
-    certificate = None
+def _certificate(rec: _Record, n: int, groups: Sequence[Group]) -> dict:
+    """Why no group of the class hosts the obstacle rec."""
     # a violation in any parastrophe image rules out every group, since
-    # same-species squares embed alike; embeds_in_class has already tested
-    # the identity image, ALL_PARASTROPHES[0]
-    if verdict.verdicts[0].method == "quadrangle":
-        certificate = {"kind": "quadrangle", "parastrophe": list(ALL_PARASTROPHES[0].perm)}
+    # same-species squares embed alike; the record has the identity image's verdict
+    if rec.quadrangle:
+        sigma = ALL_PARASTROPHES[0]
     else:
-        for sigma in ALL_PARASTROPHES[1:]:
-            if quadrangle_violation(parastrophe(rep, sigma)):
-                certificate = {"kind": "quadrangle", "parastrophe": list(sigma.perm)}
-                break
-    if certificate is None:
-        length = row_cycle_length(rep)
-        if length is not None and n % length:
-            certificate = {"kind": "row-cycle", "length": length}
-        else:
-            certificate = {"kind": "exhausted-search", "groups": [g.name for g in groups]}
-    return _Classification(blob, False, True, "search", certificate)
+        images = ALL_PARASTROPHES[1:]
+        sigma = next((s for s in images if quadrangle_violation(parastrophe(rec.rep, s))), None)
+    if sigma is not None:
+        return {"kind": "quadrangle", "parastrophe": list(sigma.perm)}
+    if rec.cycle is not None and n % rec.cycle:
+        return {"kind": "row-cycle", "length": rec.cycle}
+    return {"kind": "exhausted-search", "groups": [g.name for g in groups]}
 
 
 def psi(
@@ -429,20 +432,26 @@ def psi(
         raise ValueError(f"group class must be nonempty groups of order {n}")
 
     cap = n + 1 if n <= 4 else 7
-    known: dict[bytes, bool] = {}
+    known: dict[bytes, bool] = {b"": True}  # the empty square embeds anywhere
     survivor_counts: dict[int, int] = {}
     for size in range(1, cap + 1):
-        reps = enumerate_species(size)[size]
-        results = [_classify_one(rep, n, groups, known, use_screening) for rep in reps]
-        survivor_counts[size] = sum(1 for r in results if r.searched)
-        for r in results:
-            known[r.key_blob] = r.embeddable
-        bad = [(rep, r) for rep, r in zip(reps, results) if not r.embeddable]
+        searched = 0
+        bad = []
+        for rec in _records(size):
+            if use_screening and (
+                transversal_fast_path(rec.t_species, size, n) or known.get(_reduced(rec, n))
+            ):
+                embeddable = True
+            else:
+                searched += 1
+                embeddable = _embeds_in_some(rec, groups)
+                if not embeddable:
+                    bad.append(rec)
+            known[rec.key] = embeddable
+        survivor_counts[size] = searched
         if bad:
             obstacles = tuple(
-                Obstacle(SpeciesKey(r.key_blob), rep, r.certificate or {})
-                for rep, r in bad
+                Obstacle(SpeciesKey(rec.key), rec.rep, _certificate(rec, n, groups)) for rec in bad
             )
             return PsiResult(n, variant, size - 1, obstacles, survivor_counts)
     raise RuntimeError(f"no obstacle found for n={n} within size cap {cap}")
-

@@ -9,6 +9,7 @@ scan to orders <= 8 and sizes <= 6.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -323,13 +324,8 @@ def check_diagonal_partition(quick: bool = False, seed: int = 0) -> CriterionRes
             got, perm = embed_diagonal_partition(g, [3, n - 3])
             ok = got == want
             if ok and got:
-                prods = sorted(
-                    __import__("collections").Counter(
-                        g.table[x][perm[x]] for x in range(n)
-                    ).values(),
-                    reverse=True,
-                )
-                ok = prods == sorted([3, n - 3], reverse=True)
+                prods = Counter(g.table[x][perm[x]] for x in range(n))
+                ok = sorted(prods.values(), reverse=True) == sorted([3, n - 3], reverse=True)
             res.add(f"{g.name} partition (3,{n - 3})", ok, f"got {got}, want {want}")
     return res
 

@@ -18,12 +18,10 @@ from cayley_embed import (
     dicyclic,
     dihedral,
     direct_product,
-    element_order,
     format_group_file,
     from_perm_generators,
     group_from_table,
     groups_of_order,
-    is_abelian,
     isomorphic,
     opposite,
     parse_group_file,
@@ -196,9 +194,9 @@ class TestConstructors:
             from_perm_generators(9, [cyc, swap])
 
     def test_element_order(self):
-        assert element_order(cyclic(6), 2) == 3
-        assert element_order(cyclic(6), 0) == 1
-        assert element_order(dihedral(4), 4) == 2
+        assert cyclic(6).element_orders[2] == 3
+        assert cyclic(6).element_orders[0] == 1
+        assert dihedral(4).element_orders[4] == 2
 
 
 class TestIsomorphism:
@@ -216,8 +214,8 @@ class TestIsomorphism:
         assert not isomorphic(m16, ab)
 
     def test_is_abelian(self):
-        assert not is_abelian(dihedral(3))
-        assert is_abelian(cyclic(9))
+        assert not dihedral(3).abelian
+        assert cyclic(9).abelian
 
     def test_equivalence_on_catalogue(self):
         for n in (4, 6, 8, 12):

@@ -194,6 +194,12 @@ class TestEnumeration:
             "b7cc4582bbf408f8f5e1b34061a949892ddde31f0013dcfa57a1bf8d54fa86e5"
         )
 
+    def test_representatives_are_their_own_keys(self):
+        # psi and screen_size take a representative's encoding as its key
+        for reps in enumerate_species(7).values():
+            for p in reps:
+                assert canonical_form(p).blob == bytes(x for t in p.triples for x in t)
+
     def test_pruning_symmetries_are_symmetries(self, rng):
         # enumeration extends a parent once per orbit of the autotopisms and
         # autoparatopisms its key search records; each must map the square

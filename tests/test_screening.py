@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import jsonschema
 import pytest
 
@@ -10,12 +13,15 @@ from cayley_embed import (
     RowNotInP,
     Triple,
     TripleNotInP,
+    abelian,
     canonical_form,
     cyclic,
     dihedral,
+    direct_product,
     enumerate_species,
     find_embedding,
     fixtures,
+    from_perm_generators,
     gen_diagonal,
     gen_evans,
     gen_row_cycle,
@@ -30,7 +36,6 @@ from cayley_embed import (
     sub_species_contains,
     validate_pls,
 )
-from cayley_embed.screening import _fast_path_embeds
 
 
 class TestRemovableTriple:
@@ -162,8 +167,12 @@ class TestScreenSize:
         assert got == want
 
     def test_fast_path_eliminates_diagonal(self):
-        assert _fast_path_embeds(gen_diagonal(4), 7)
-        assert not _fast_path_embeds(gen_diagonal(7), 7)
+        # T_5 reduces only from n = 9, but is within the transversal bound 6 at
+        # n = 8; T_7 at n = 7 is past the bound 5 and needs n = 13 to reduce
+        assert canonical_form(gen_diagonal(5)) not in screen_size(5, 8)
+        assert find_embedding(gen_diagonal(5), cyclic(8)).method == "transversal-bound"
+        assert canonical_form(gen_diagonal(7)) in screen_size(7, 7)
+        assert find_embedding(gen_diagonal(7), cyclic(7)).method == "search"
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -220,6 +229,34 @@ class TestPsi:
             assert a.psi == b.psi
             assert {o.species_key for o in a.obstacles} == {o.species_key for o in b.obstacles}
             assert a.survivor_counts != {} and b.survivor_counts[1] == 1
+
+    def test_sweep_json_is_pinned(self):
+        # SHA-256 over the JSON of every psi-sweep job, in order: any change to
+        # a psi value, an obstacle, a certificate or a survivor count moves it
+        jobs = [(n, "group", None) for n in range(1, 17)]
+        jobs += [(n, v, None) for n in range(1, 25) for v in ("abelian", "cyclic")]
+
+        # the five groups of order 18; (Z3 x Z3):Z2 acts on the points 3x + y
+        def perm(fn):
+            images = (fn(x, y) for x in range(3) for y in range(3))
+            return tuple(3 * (a % 3) + b % 3 for a, b in images)
+
+        gens = [perm(lambda x, y: (x + 1, y)), perm(lambda x, y: (x, y + 1)), perm(lambda x, y: (-x, -y))]
+        order18 = [
+            cyclic(18),
+            abelian([3, 6]),
+            dihedral(9),
+            direct_product(dihedral(3), cyclic(3)),
+            from_perm_generators(9, gens, name="(Z3xZ3):Z2"),
+        ]
+        jobs.append((18, "group", order18))
+        digest = hashlib.sha256()
+        for n, variant, groups in jobs:
+            result = psi(n, variant, groups, assume_complete=groups is not None)
+            digest.update(json.dumps(result.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "5442ae60d188746d6a834e4a2e9492833f1d205a3118a97a74b45058062dd8a9"
+        )
 
     def test_variant_ordering_invariant(self):
         # psi_circ <= psi_plus <= psi on a spread of orders
