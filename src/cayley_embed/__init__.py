@@ -8,7 +8,6 @@ order n -- together with the complete list of obstacle species.
 """
 
 from .embed import (
-    ClassVerdict,
     EmbedVerdict,
     EmbeddingWitness,
     PartitionInvalid,
@@ -16,7 +15,6 @@ from .embed import (
     count_embeddings,
     count_embeddings_pinned,
     embed_diagonal_partition,
-    embeds_in_class,
     find_embedding,
     quadrangle_violation,
     transversal_bound,

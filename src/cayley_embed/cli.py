@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Exit codes separate mathematical results from operational failures: a "not
-embeddable" verdict exits 0 (it is an answer), bad flags exit 2, unreadable
-or invalid input files exit 3, and ``verify-paper`` exits 1 when any
-criterion fails.
+embeddable" verdict exits 0 (it is an answer), bad flags or arguments exit 2,
+unreadable or invalid input files or group specs exit 3, and ``verify-paper``
+exits 1 when any criterion fails.  Exits 2 and 3 print one ``error:`` line on
+stderr.
+
+Each ``cmd_*`` only computes; ``main`` times it, reports it and maps its
+errors to exit codes.
 """
 
 from __future__ import annotations
@@ -13,34 +17,13 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__, verify
-from .embed import (
-    PartitionInvalid,
-    embed_diagonal_partition,
-    find_embedding,
-    count_embeddings,
-)
-from .groups import (
-    ClosureTooLarge,
-    NoIdentity,
-    NotAssociative,
-    NotLatin,
-    OrderUnsupported,
-    format_group_file,
-    groups_of_order,
-    parse_group_spec,
-)
-from .pls import (
-    MAX_ENUM_SIZE,
-    ParameterOutOfRange,
-    canonical_form,
-    enumerate_species,
-    format_species_file,
-    parse_pls,
-)
-from .screening import MAX_SCREEN_SIZE, IncompleteClass, psi, screen_size
+from .embed import count_embeddings, embed_diagonal_partition, find_embedding
+from .groups import format_group_file, groups_of_order, parse_group_spec
+from .pls import canonical_form, enumerate_species, format_species_file, parse_pls
+from .screening import psi, screen_size
 
 RUN_REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -66,32 +49,19 @@ class _ParseFailure(Exception):
     pass
 
 
-class _UsageError(Exception):
-    pass
+class _Outcome(NamedTuple):
+    """A command's report inputs and results, its text lines and exit code."""
 
-
-def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "timing_ms": round((time.time() - started) * 1000.0, 3),
-        "version": __version__,
-    }
-
-
-def _emit(report: dict, as_json: bool, lines: Sequence[str]) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    inputs: dict
+    results: dict
+    lines: list[str]
+    code: int = EXIT_OK
 
 
 def _load_pls(path: str, fmt: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}") from exc
     try:
         return parse_pls(text, fmt)
@@ -102,18 +72,11 @@ def _load_pls(path: str, fmt: str):
 def _load_group(spec: str):
     try:
         return parse_group_spec(spec)
-    except (ParameterOutOfRange, NotLatin, NoIdentity, NotAssociative, ClosureTooLarge, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise _ParseFailure(f"cannot build group from {spec!r}: {exc}") from exc
 
 
-def cmd_species(args) -> int:
-    started = time.time()
-    if args.max_size < 1:
-        print("--max-size must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.max_size > MAX_ENUM_SIZE:
-        print(f"--max-size is capped at {MAX_ENUM_SIZE}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_species(args) -> _Outcome:
     levels = enumerate_species(args.max_size)
     counts = {m: len(reps) for m, reps in levels.items()}
     lines = [f"size {m}: {counts[m]} species" for m in sorted(counts)]
@@ -126,18 +89,14 @@ def cmd_species(args) -> int:
             path.write_text(format_species_file(reps), encoding="utf-8")
             written[str(m)] = str(path)
         lines.append(f"wrote {len(written)} files to {outdir}")
-    report = _report(
-        "species",
+    return _Outcome(
         {"max_size": args.max_size, "out": args.out},
         {"counts": {str(m): c for m, c in counts.items()}, "files": written},
-        started,
+        lines,
     )
-    _emit(report, args.json, lines)
-    return EXIT_OK
 
 
-def cmd_embed(args) -> int:
-    started = time.time()
+def cmd_embed(args) -> _Outcome:
     p = _load_pls(args.pls, args.format)
     g = _load_group(args.group)
     results: dict = {"group": g.name, "pls_size": p.size, "species_key": canonical_form(p).hex()}
@@ -158,77 +117,45 @@ def cmd_embed(args) -> int:
         else:
             results["obstruction"] = verdict.obstruction
             lines.append(f"not embeddable in {g.name} (obstruction: {verdict.obstruction})")
-    _emit(_report("embed", {"pls": args.pls, "group": args.group, "count": args.count, "paranoid": args.paranoid}, results, started), args.json, lines)
-    return EXIT_OK
+    inputs = {"pls": args.pls, "group": args.group, "count": args.count, "paranoid": args.paranoid}
+    return _Outcome(inputs, results, lines)
 
 
-def cmd_screen(args) -> int:
-    started = time.time()
-    if not 1 <= args.size <= MAX_SCREEN_SIZE:
-        print(f"--size must be in 1..{MAX_SCREEN_SIZE}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.n < 1:
-        print("--n must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_screen(args) -> _Outcome:
     survivors = screen_size(args.size, args.n)
     lines = [f"{len(survivors)} survivors at size {args.size} for order {args.n}"]
     if args.verbose:
         for key in survivors:
             lines.append(key.hex())
-    report = _report(
-        "screen",
+    return _Outcome(
         {"size": args.size, "n": args.n},
         {"count": len(survivors), "species_keys": [k.hex() for k in survivors]},
-        started,
+        lines,
     )
-    _emit(report, args.json, lines)
-    return EXIT_OK
 
 
-def cmd_psi(args) -> int:
-    started = time.time()
-    if args.n < 1:
-        raise _UsageError("--n must be at least 1")
+def cmd_psi(args) -> _Outcome:
     groups = None
     if args.groups:
         groups = [
             _load_group(f"file:{path}") if Path(path).exists() else _load_group(path)
             for path in args.groups
         ]
-    try:
-        result = psi(
-            args.n,
-            args.variant,
-            groups,
-            assume_complete=args.assume_complete,
-        )
-    except (IncompleteClass, OrderUnsupported) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = psi(args.n, args.variant, groups, assume_complete=args.assume_complete)
     lines = [f"psi({args.n}, {args.variant}) = {result.psi}"]
     lines.append(f"{len(result.obstacles)} obstacle species of size {result.psi + 1}:")
     for o in result.obstacles:
         lines.append(f"  key {o.species_key.hex()} certificate {o.certificate.get('kind')}")
-    _emit(
-        _report(
-            "psi",
-            {
-                "n": args.n,
-                "variant": args.variant,
-                "groups": args.groups or [],
-                "assume_complete": args.assume_complete,
-            },
-            result.to_json(),
-            started,
-        ),
-        args.json,
-        lines,
-    )
-    return EXIT_OK
+    inputs = {
+        "n": args.n,
+        "variant": args.variant,
+        "groups": args.groups or [],
+        "assume_complete": args.assume_complete,
+    }
+    return _Outcome(inputs, result.to_json(), lines)
 
 
-def cmd_groups(args) -> int:
-    started = time.time()
+def cmd_groups(args) -> _Outcome:
     lines = []
     results: dict = {}
     if args.spec:
@@ -246,51 +173,34 @@ def cmd_groups(args) -> int:
             results["file"] = args.out
             lines.append(f"wrote table to {args.out}")
     else:
-        try:
-            cat = groups_of_order(args.order)
-        except OrderUnsupported as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        cat = groups_of_order(args.order)
         results["groups"] = [
             {"name": g.name, "order": g.order, "abelian": g.abelian} for g in cat
         ]
         lines.append(f"{len(cat)} groups of order {args.order}:")
         for g in cat:
             lines.append(f"  {g.name} ({'abelian' if g.abelian else 'non-abelian'})")
-    _emit(_report("groups", {"order": args.order, "spec": args.spec}, results, started), args.json, lines)
-    return EXIT_OK
+    return _Outcome({"order": args.order, "spec": args.spec}, results, lines)
 
 
-def cmd_diag_partition(args) -> int:
-    started = time.time()
+def cmd_diag_partition(args) -> _Outcome:
     g = _load_group(args.group)
     try:
         parts = [int(x) for x in args.partition.split(",") if x]
     except ValueError as exc:
         raise _ParseFailure(f"bad partition {args.partition!r}: {exc}") from exc
-    try:
-        ok, perm = embed_diagonal_partition(g, parts)
-    except PartitionInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ok, perm = embed_diagonal_partition(g, parts)
     lines = [f"partition {sorted(parts, reverse=True)} realisable in {g.name}: {ok}"]
     if ok:
         lines.append("permutation: " + " ".join(str(x) for x in perm))
-    _emit(
-        _report(
-            "diag-partition",
-            {"group": args.group, "partition": parts},
-            {"realisable": ok, "permutation": perm},
-            started,
-        ),
-        args.json,
+    return _Outcome(
+        {"group": args.group, "partition": parts},
+        {"realisable": ok, "permutation": perm},
         lines,
     )
-    return EXIT_OK
 
 
-def cmd_verify_paper(args) -> int:
-    started = time.time()
+def cmd_verify_paper(args) -> _Outcome:
     results = verify.run_all(quick=args.quick, seed=args.seed)
     lines = []
     for res in results:
@@ -316,12 +226,12 @@ def cmd_verify_paper(args) -> int:
         ],
         "passed": all_ok,
     }
-    _emit(
-        _report("verify-paper", {"quick": args.quick, "seed": args.seed}, payload, started),
-        args.json,
+    return _Outcome(
+        {"quick": args.quick, "seed": args.seed},
+        payload,
         lines,
+        EXIT_OK if all_ok else EXIT_VERIFY_FAILED,
     )
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,16 +297,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "groups" and not args.spec and args.order is None:
+    if args.command == "groups" and not args.spec and args.order is None:
         parser.error("groups needs --order or --spec")
+    started = time.time()
     try:
-        return args.fn(args)
-    except _ParseFailure as exc:
+        outcome = args.fn(args)
+    except (_ParseFailure, ValueError) as exc:
+        # every argument check in the library raises a ValueError subclass
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_PARSE if isinstance(exc, _ParseFailure) else EXIT_USAGE
+    if args.json:
+        report = {
+            "command": args.command,
+            "inputs": outcome.inputs,
+            "results": outcome.results,
+            "timing_ms": round((time.time() - started) * 1000.0, 3),
+            "version": __version__,
+        }
+        print(json.dumps(report, sort_keys=True, indent=2))
+    else:
+        for line in outcome.lines:
+            print(line)
+    return outcome.code
 
 
 if __name__ == "__main__":

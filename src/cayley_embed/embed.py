@@ -13,7 +13,7 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from .groups import Group
-from .pls import PLS, Triple, is_t_species, row_cycle_length
+from .pls import PLS, Triple, is_t_species
 
 DEFAULT_NODE_LIMIT = 10**9
 
@@ -100,29 +100,13 @@ class EmbedVerdict:
     Search-backed positive verdicts always carry a witness; a positive verdict
     with method="transversal-bound" trusts the diagonal fast path and carries
     none (re-run with paranoid=True for a witness).  `obstruction` is set only
-    on negative verdicts: quadrangle | order-divisibility | exhausted-search.
+    on negative verdicts, and is always "exhausted-search".
     """
 
     embeddable: bool
     witness: Optional[EmbeddingWitness] = None
     obstruction: Optional[str] = None
     method: str = "search"
-
-
-@dataclass(frozen=True)
-class ClassVerdict:
-    """Per-group verdicts over a class of groups plus the any/all summary."""
-
-    group_names: tuple[str, ...]
-    verdicts: tuple[EmbedVerdict, ...]
-    embeds_in_some: bool
-    embeds_in_all: bool
-
-    def witness_group(self) -> Optional[str]:
-        for name, v in zip(self.group_names, self.verdicts):
-            if v.embeddable:
-                return name
-        return None
 
 
 def _connectivity_order(triples: Sequence[Triple]) -> list[Triple]:
@@ -156,7 +140,6 @@ class _Searcher:
         g: Group,
         *,
         pin: bool,
-        fixed_syms: Optional[dict[int, int]] = None,
         node_limit: int = DEFAULT_NODE_LIMIT,
     ):
         self.p = p
@@ -172,15 +155,6 @@ class _Searcher:
         self.nodes = 0
         self.node_limit = node_limit
         self.witness: Optional[EmbeddingWitness] = None
-        if fixed_syms is not None:
-            if set(fixed_syms) != set(range(1, p.n_syms + 1)):
-                raise ValueError("fixed symbol injection must cover every symbol id")
-            vals = list(fixed_syms.values())
-            if len(set(vals)) != len(vals) or any(not 0 <= v < n for v in vals):
-                raise ValueError("fixed symbol images must be an injection into the group")
-            for s, v in fixed_syms.items():
-                self.sym_img[s] = v
-                self.sym_used[v] = True
         if pin:
             first = self.order[0]
             self.row_img[first.row] = 0
@@ -392,19 +366,9 @@ def find_embedding(
     return EmbedVerdict(False, obstruction="exhausted-search")
 
 
-def count_embeddings(
-    p: PLS,
-    g: Group,
-    fixed_sym_map: Optional[dict[int, int]] = None,
-    *,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> int:
-    """Exact number of embedding triples (no normalisation applied).
-
-    With fixed_sym_map the symbol injection is pinned and only (I1, I2) pairs
-    are counted.
-    """
-    searcher = _Searcher(p, g, pin=False, fixed_syms=fixed_sym_map, node_limit=node_limit)
+def count_embeddings(p: PLS, g: Group, *, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
+    """Exact number of embedding triples (no normalisation applied)."""
+    searcher = _Searcher(p, g, pin=False, node_limit=node_limit)
     return searcher.run(count_all=True)
 
 
@@ -415,7 +379,7 @@ def count_embeddings_pinned(p: PLS, g: Group, *, node_limit: int = DEFAULT_NODE_
     each orbit contains exactly one pinned embedding, so the unpinned count is
     |G|^2 times this one.
     """
-    searcher = _Searcher(p, g, pin=True, fixed_syms=None, node_limit=node_limit)
+    searcher = _Searcher(p, g, pin=True, node_limit=node_limit)
     return searcher.run(count_all=True)
 
 
@@ -447,41 +411,6 @@ def quadrangle_violation(p: PLS) -> bool:
                         continue
                     quads.setdefault((s11, s12, s21), set()).add(s22)
     return any(len(v) > 1 for v in quads.values())
-
-
-def embeds_in_class(
-    p: PLS,
-    groups: Sequence[Group],
-    *,
-    paranoid: bool = False,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> ClassVerdict:
-    """Decide embeddability of p against every group in the class.
-
-    Applies the quadrangle test once (it rules out every group), then a
-    per-group order-divisibility shortcut for row-cycle species, then search.
-    """
-    if not groups:
-        raise ValueError("group class must be nonempty")
-    names = tuple(g.name for g in groups)
-    if quadrangle_violation(p):
-        verdicts = tuple(
-            EmbedVerdict(False, obstruction="quadrangle", method="quadrangle")
-            for _ in groups
-        )
-        return ClassVerdict(names, verdicts, False, False)
-    cycle_len = row_cycle_length(p)
-    verdicts = []
-    for g in groups:
-        if cycle_len is not None and g.order % cycle_len:
-            verdicts.append(
-                EmbedVerdict(False, obstruction="order-divisibility", method="row-cycle")
-            )
-            continue
-        verdicts.append(find_embedding(p, g, paranoid=paranoid, node_limit=node_limit))
-    some = any(v.embeddable for v in verdicts)
-    every = all(v.embeddable for v in verdicts)
-    return ClassVerdict(names, tuple(verdicts), some, every)
 
 
 class PartitionInvalid(ValueError):

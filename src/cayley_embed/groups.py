@@ -57,12 +57,6 @@ class Group:
     def order(self) -> int:
         return len(self.table)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def __str__(self) -> str:
         return f"{self.name} (order {self.order})"
 
@@ -684,7 +678,7 @@ def parse_group_spec(spec: str) -> Group:
             # any cyclic factor list is accepted here; factors violating the
             # invariant-factor chain are assembled as a direct product
             factors = [int(x) for x in arg.split(",") if x]
-            if all(b % a == 0 for a, b in zip(factors, factors[1:])):
+            if all(a > 0 and b % a == 0 for a, b in zip(factors, factors[1:])):
                 return abelian(factors)
             g = cyclic(factors[0])
             for d in factors[1:]:

@@ -135,12 +135,7 @@ class Parastrophe:
         p, q = self.perm, other.perm
         return Parastrophe((q[p[0]], q[p[1]], q[p[2]]))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == (0, 1, 2)
 
-
-IDENTITY_PARASTROPHE = Parastrophe((0, 1, 2))
 TRANSPOSE = Parastrophe((1, 0, 2))
 #: all six parastrophes in fixed (lexicographic) order; used wherever a
 #: deterministic scan order is required.

@@ -270,6 +270,8 @@ def screen_size(size: int, n: int) -> list[SpeciesKey]:
     """
     if not 1 <= size <= MAX_SCREEN_SIZE:
         raise ValueError(f"screening supports sizes 1..{MAX_SCREEN_SIZE}, got {size}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return [
         SpeciesKey(rec.key)
         for rec in _records(size)

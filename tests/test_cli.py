@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -18,6 +19,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def run_error(capsys, *argv):
+    """Run a failing command: nothing on stdout, one ``error:`` line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1, err
+    return code, err
+
+
 class TestSpecies:
     def test_counts(self, capsys):
         code, out, _ = run(capsys, "species", "--max-size", "3")
@@ -35,8 +43,8 @@ class TestSpecies:
         assert all(canonical_form(p).to_pls() == p for p in reps)
 
     def test_usage_error(self, capsys):
-        code, _, err = run(capsys, "species", "--max-size", "0")
-        assert code == 2
+        assert run_error(capsys, "species", "--max-size", "0")[0] == 2
+        assert run_error(capsys, "species", "--max-size", "9")[0] == 2
 
     def test_missing_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -77,17 +85,29 @@ class TestEmbed:
     def test_parse_error_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.pls"
         path.write_text("1 1\n")
-        code, _, err = run(capsys, "embed", "--pls", str(path), "--group", "cyclic:5")
+        code, err = run_error(capsys, "embed", "--pls", str(path), "--group", "cyclic:5")
         assert code == 3 and "cannot parse" in err
 
     def test_missing_file_exits_3(self, capsys):
-        code, _, err = run(capsys, "embed", "--pls", "/nonexistent.pls", "--group", "cyclic:5")
+        code, _ = run_error(capsys, "embed", "--pls", "/nonexistent.pls", "--group", "cyclic:5")
         assert code == 3
+
+    def test_undecodable_file_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "binary.pls"
+        path.write_bytes(b"\xff\xfe")
+        code, err = run_error(capsys, "embed", "--pls", str(path), "--group", "cyclic:5")
+        assert code == 3 and "cannot read" in err
 
     def test_bad_group_spec_exits_3(self, capsys, tmp_path):
         path = tmp_path / "p.pls"
         path.write_text("1 1 1\n")
-        code, _, err = run(capsys, "embed", "--pls", str(path), "--group", "weird:9")
+        code, _ = run_error(capsys, "embed", "--pls", str(path), "--group", "weird:9")
+        assert code == 3
+
+    def test_zero_abelian_factor_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "p.pls"
+        path.write_text("1 1 1\n")
+        code, _ = run_error(capsys, "embed", "--pls", str(path), "--group", "abelian:0,3")
         assert code == 3
 
 
@@ -98,8 +118,8 @@ class TestScreen:
         assert payload["results"]["count"] == 2
 
     def test_guard(self, capsys):
-        code, _, _ = run(capsys, "screen", "--size", "9", "--n", "7")
-        assert code == 2
+        assert run_error(capsys, "screen", "--size", "9", "--n", "7")[0] == 2
+        assert run_error(capsys, "screen", "--size", "3", "--n", "0")[0] == 2
 
 
 class TestPsi:
@@ -110,7 +130,7 @@ class TestPsi:
         assert len(payload["results"]["obstacles"]) == 1
 
     def test_incomplete_class(self, capsys):
-        code, _, err = run(capsys, "psi", "--n", "20", "--variant", "group")
+        code, err = run_error(capsys, "psi", "--n", "20", "--variant", "group")
         assert code == 2 and "complete" in err
 
     def test_supplied_group_files(self, capsys, tmp_path):
@@ -125,13 +145,19 @@ class TestPsi:
         )
         assert code == 0 and payload["results"]["psi"] == 3
 
+    def test_group_file_of_wrong_order_exits_2(self, capsys, tmp_path):
+        from cayley_embed import cyclic as build_cyclic, format_group_file
+
+        path = tmp_path / "z6.grp"
+        path.write_text(format_group_file(build_cyclic(6)))
+        code, _ = run_error(capsys, "psi", "--n", "5", "--groups", str(path), "--assume-complete")
+        assert code == 2
+
     def test_zero_order_exits_2(self, capsys):
-        code, _, err = run(capsys, "psi", "--n", "0")
-        assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert run_error(capsys, "psi", "--n", "0")[0] == 2
 
     def test_uncatalogued_abelian_order_exits_2(self, capsys):
-        code, _, err = run(capsys, "psi", "--variant", "abelian", "--n", "65")
-        assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert run_error(capsys, "psi", "--variant", "abelian", "--n", "65")[0] == 2
 
 
 class TestGroups:
@@ -152,8 +178,7 @@ class TestGroups:
         assert exc.value.code == 2
 
     def test_unsupported_order(self, capsys):
-        code, _, err = run(capsys, "groups", "--order", "30")
-        assert code == 2
+        assert run_error(capsys, "groups", "--order", "30")[0] == 2
 
 
 class TestDiagPartition:
@@ -170,8 +195,8 @@ class TestDiagPartition:
         assert code == 0 and payload["results"]["realisable"] is False
 
     def test_invalid_partition(self, capsys):
-        code, _, _ = run(capsys, "diag-partition", "--group", "cyclic:5", "--partition", "3,3")
-        assert code == 2
+        assert run_error(capsys, "diag-partition", "--group", "cyclic:5", "--partition", "3,3")[0] == 2
+        assert run_error(capsys, "diag-partition", "--group", "cyclic:5", "--partition", "3,x")[0] == 3
 
 
 class TestReports:
@@ -185,6 +210,36 @@ class TestReports:
     def test_schema(self, capsys):
         _, payload, _ = run_json(capsys, "groups", "--order", "6")
         jsonschema.validate(payload, RUN_REPORT_SCHEMA)
+
+    def test_reports_are_pinned(self, capsys, tmp_path):
+        # SHA-256 over the stdout of one cheap call of each command, as text
+        # and as JSON (timing dropped, tmp paths replaced): any change to a
+        # printed line or a report field moves it
+        path = tmp_path / "nonab.pls"
+        path.write_text(format_triples(fixtures()["nonab"]))
+        calls = [
+            ("species", "--max-size", "3"),
+            ("embed", "--pls", str(path), "--group", "dihedral:3"),
+            ("embed", "--pls", str(path), "--group", "dihedral:3", "--count"),
+            ("screen", "--size", "4", "--n", "7", "--verbose"),
+            ("psi", "--n", "6", "--variant", "cyclic"),
+            ("groups", "--order", "8"),
+            ("groups", "--spec", "dihedral:4"),
+            ("diag-partition", "--group", "cyclic:6", "--partition", "3,3"),
+        ]
+        digest = hashlib.sha256()
+        for argv in calls:
+            for extra in ((), ("--json",)):
+                code, out, err = run(capsys, *argv, *extra)
+                assert code == 0 and err == ""
+                if extra:
+                    report = json.loads(out)
+                    report.pop("timing_ms")
+                    out = json.dumps(report, sort_keys=True, indent=2)
+                digest.update(out.replace(str(tmp_path), "<tmp>").encode())
+        assert digest.hexdigest() == (
+            "6f73c538cf9c7ed490929bcb68292b2d177855df2d04c4ce0fb6539040ca79f3"
+        )
 
 
 class TestVerifyPaperQuick:

@@ -302,6 +302,12 @@ class TestSpecsAndFiles:
         with pytest.raises(ParameterOutOfRange):
             parse_group_spec("cyclic:x")
 
+    def test_nonpositive_abelian_factor(self):
+        # a zero factor must not reach the divisor-chain test as a divisor
+        for spec in ("abelian:0,3", "abelian:3,0", "abelian:-2,4"):
+            with pytest.raises(ParameterOutOfRange):
+                parse_group_spec(spec)
+
     def test_file_roundtrip(self, tmp_path):
         g = dihedral(4)
         path = tmp_path / "d8.grp"
