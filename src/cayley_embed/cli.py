@@ -2,9 +2,9 @@
 
 Exit codes separate mathematical results from operational failures: a "not
 embeddable" verdict exits 0 (it is an answer), bad flags or arguments exit 2,
-unreadable or invalid input files or group specs exit 3, and ``verify-paper``
-exits 1 when any criterion fails.  Exits 2 and 3 print one ``error:`` line on
-stderr.
+unreadable or invalid input files or group specs and output files that cannot
+be written exit 3, and ``verify-paper`` exits 1 when any criterion fails.
+Exits 2 and 3 print one ``error:`` line on stderr.
 
 Each ``cmd_*`` only computes; ``main`` times it, reports it and maps its
 errors to exit codes.
@@ -46,7 +46,8 @@ EXIT_PARSE = 3
 
 
 class _ParseFailure(Exception):
-    pass
+    """An input that cannot be read or parsed, or an output that cannot be
+    written: exit 3."""
 
 
 class _Outcome(NamedTuple):
@@ -83,11 +84,14 @@ def cmd_species(args) -> _Outcome:
     written = {}
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for m, reps in levels.items():
-            path = outdir / f"species_{m}.pls"
-            path.write_text(format_species_file(reps), encoding="utf-8")
-            written[str(m)] = str(path)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for m, reps in levels.items():
+                path = outdir / f"species_{m}.pls"
+                path.write_text(format_species_file(reps), encoding="utf-8")
+                written[str(m)] = str(path)
+        except OSError as exc:
+            raise _ParseFailure(f"cannot write {args.out}: {exc}") from exc
         lines.append(f"wrote {len(written)} files to {outdir}")
     return _Outcome(
         {"max_size": args.max_size, "out": args.out},
@@ -169,7 +173,10 @@ def cmd_groups(args) -> _Outcome:
         results["group"] = info
         lines.append(f"{g.name}: order {g.order}, {'abelian' if g.abelian else 'non-abelian'}")
         if args.out:
-            Path(args.out).write_text(format_group_file(g), encoding="utf-8")
+            try:
+                Path(args.out).write_text(format_group_file(g), encoding="utf-8")
+            except OSError as exc:
+                raise _ParseFailure(f"cannot write {args.out}: {exc}") from exc
             results["file"] = args.out
             lines.append(f"wrote table to {args.out}")
     else:

@@ -428,46 +428,56 @@ def embed_diagonal_partition(
     The multiplicities of the values g*pi(g) must form exactly the given
     partition of |G|; equivalently, the diagonal PLS with those symbol
     multiplicities embeds in g.  Returns (realisable, pi or None).
+
+    A partial pi is kept only while its product counts, sorted, are term by
+    term at most the sorted parts.  That holds iff for every k at most
+    cap[k] values (the number of parts >= k) are met k or more times, and a
+    count rising to c changes only ge[c], the number of values met at least
+    c times: the test is ge[c] < cap[c].  At a leaf both sum to n, so
+    ge == cap and the counts are exactly the partition.
     """
     n = g.order
-    parts = sorted((int(x) for x in partition), reverse=True)
+    parts = [int(x) for x in partition]
     if not parts or any(x < 1 for x in parts):
         raise PartitionInvalid(f"parts must be positive integers, got {list(partition)}")
     if sum(parts) != n:
         raise PartitionInvalid(f"parts sum to {sum(parts)}, group order is {n}")
+    cap = [0] * (n + 1)
+    for part in parts:
+        for k in range(1, part + 1):
+            cap[k] += 1
+    ge = [0] * (n + 1)
     counts = [0] * n
     used = [False] * n
     perm = [-1] * n
+    table = g.table
     nodes = 0
-
-    def feasible() -> bool:
-        nz = sorted((c for c in counts if c), reverse=True)
-        if len(nz) > len(parts):
-            return False
-        return all(c <= cap for c, cap in zip(nz, parts))
 
     def rec(x: int) -> bool:
         nonlocal nodes
         if x == n:
-            return sorted((c for c in counts if c), reverse=True) == parts
+            return True
         nodes += 1
         if nodes > node_limit:
             raise SearchLimitExceeded(f"partition search exceeded {node_limit} nodes")
-        row = g.table[x]
+        row = table[x]
         for y in range(n):
             if used[y]:
                 continue
             v = row[y]
-            counts[v] += 1
-            if feasible():
-                used[y] = True
-                perm[x] = y
-                if rec(x + 1):
-                    counts[v] -= 1  # counts are reported via the permutation
-                    return True
-                used[y] = False
-                perm[x] = -1
-            counts[v] -= 1
+            c = counts[v] + 1
+            if ge[c] >= cap[c]:
+                continue
+            counts[v] = c
+            ge[c] += 1
+            used[y] = True
+            perm[x] = y
+            if rec(x + 1):
+                return True
+            used[y] = False
+            perm[x] = -1
+            ge[c] -= 1
+            counts[v] = c - 1
         return False
 
     if rec(0):

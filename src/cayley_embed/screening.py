@@ -356,18 +356,24 @@ VARIANTS = ("group", "abelian", "cyclic")
 
 
 def default_group_class(n: int, variant: str) -> list[Group]:
+    """The complete class of groups for (n, variant), built once per process."""
+    return list(_group_class(n, variant))
+
+
+@lru_cache(maxsize=128)
+def _group_class(n: int, variant: str) -> tuple[Group, ...]:
     if variant == "group":
         try:
-            return groups_of_order(n)
+            return tuple(groups_of_order(n))
         except OrderUnsupported as exc:
             raise IncompleteClass(
                 f"no built-in complete catalogue for order {n}; "
                 "supply the full class explicitly"
             ) from exc
     if variant == "abelian":
-        return abelian_groups_of_order(n)
+        return tuple(abelian_groups_of_order(n))
     if variant == "cyclic":
-        return [cyclic(n)]
+        return (cyclic(n),)
     raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 

@@ -315,18 +315,32 @@ def check_transversal_bound(quick: bool = False, seed: int = 0) -> CriterionResu
     return res
 
 
+def _hall_paige(g) -> bool:
+    """g has a complete mapping iff its Sylow 2-subgroup is trivial or not
+    cyclic (Hall-Paige 1955; Wilcox 2009, Evans 2009), i.e. iff the 2-part of
+    |g| is 1 or divides no element's order."""
+    two = g.order & -g.order
+    return two == 1 or all(o % two for o in g.element_orders)
+
+
 def check_diagonal_partition(quick: bool = False, seed: int = 0) -> CriterionResult:
-    res = CriterionResult("8", "three-cell diagonal partition iff 3 | n")
-    top = 8 if quick else 16
-    for n in range(4, top + 1):
-        want = n % 3 == 0
+    res = CriterionResult("8", "diagonal partition (3, n-3) iff 3 | n, 1^n iff Hall-Paige")
+
+    def case(g, parts, want, label):
+        got, perm = embed_diagonal_partition(g, parts)
+        ok = got == want
+        if ok and got:
+            # re-check the permutation from its products
+            prods = Counter(g.table[x][perm[x]] for x in range(g.order))
+            ok = sorted(perm) == list(range(g.order)) and sorted(prods.values()) == sorted(parts)
+        res.add(f"{g.name} partition {label}", ok, f"got {got}, want {want}")
+
+    for n in range(4, (8 if quick else 16) + 1):
         for g in groups_of_order(n):
-            got, perm = embed_diagonal_partition(g, [3, n - 3])
-            ok = got == want
-            if ok and got:
-                prods = Counter(g.table[x][perm[x]] for x in range(n))
-                ok = sorted(prods.values(), reverse=True) == sorted([3, n - 3], reverse=True)
-            res.add(f"{g.name} partition (3,{n - 3})", ok, f"got {got}, want {want}")
+            case(g, [3, n - 3], n % 3 == 0, f"(3,{n - 3})")
+    for n in range(1, (8 if quick else 10) + 1):
+        for g in groups_of_order(n):
+            case(g, [1] * n, _hall_paige(g), f"1^{n}")
     return res
 
 

@@ -46,6 +46,12 @@ class TestSpecies:
         assert run_error(capsys, "species", "--max-size", "0")[0] == 2
         assert run_error(capsys, "species", "--max-size", "9")[0] == 2
 
+    def test_unwritable_out_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, err = run_error(capsys, "species", "--max-size", "2", "--out", str(path))
+        assert code == 3 and "cannot write" in err
+
     def test_missing_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["species"])
@@ -171,6 +177,10 @@ class TestGroups:
         assert code == 0 and out_path.exists()
         code2, out2, _ = run(capsys, "groups", "--spec", f"file:{out_path}")
         assert code2 == 0 and "order 8" in out2
+
+    def test_unwritable_out_exits_3(self, capsys, tmp_path):
+        code, err = run_error(capsys, "groups", "--spec", "dihedral:4", "--out", str(tmp_path))
+        assert code == 3 and "cannot write" in err
 
     def test_needs_order_or_spec(self):
         with pytest.raises(SystemExit) as exc:

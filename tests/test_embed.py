@@ -7,6 +7,7 @@ import pytest
 from cayley_embed import (
     EmbeddingWitness,
     PartitionInvalid,
+    SearchLimitExceeded,
     TRANSPOSE,
     abelian,
     count_embeddings,
@@ -19,6 +20,7 @@ from cayley_embed import (
     fixtures,
     gen_diagonal,
     gen_row_cycle,
+    group_from_table,
     groups_of_order,
     nonab_dihedral_witness,
     opposite,
@@ -263,6 +265,79 @@ class TestDiagonalPartition:
             assert ok == via_search
 
 
+def sorted_feasibility_partition(g, partition):
+    """Reference: the same search, testing each candidate by sorting all counts
+    and comparing them term by term with the sorted parts.  Returns
+    (realisable, perm or None, nodes searched)."""
+    n = g.order
+    parts = sorted(partition, reverse=True)
+    counts = [0] * n
+    used = [False] * n
+    perm = [-1] * n
+    nodes = 0
+
+    def feasible():
+        nz = sorted((c for c in counts if c), reverse=True)
+        return len(nz) <= len(parts) and all(c <= cap for c, cap in zip(nz, parts))
+
+    def rec(x):
+        nonlocal nodes
+        if x == n:
+            return sorted((c for c in counts if c), reverse=True) == parts
+        nodes += 1
+        for y in range(n):
+            if used[y]:
+                continue
+            v = g.table[x][y]
+            counts[v] += 1
+            if feasible():
+                used[y] = True
+                perm[x] = y
+                if rec(x + 1):
+                    return True
+                used[y] = False
+                perm[x] = -1
+            counts[v] -= 1
+        return False
+
+    found = rec(0)
+    return found, perm if found else None, nodes
+
+
+def partitions(n, top=None):
+    """Every partition of n into parts <= top, largest part first."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, top or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield [k, *rest]
+
+
+def relabelled(g, rng):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    table = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            table[perm[x]][perm[y]] = perm[g.table[x][y]]
+    return group_from_table(table, name=g.name + "'")
+
+
+class TestDiagonalPartitionOracle:
+    def test_matches_sorted_feasibility_search(self, small_catalogue, rng):
+        # the per-count test must keep the search tree: the verdict, the
+        # permutation found and the node count are exactly the reference's
+        for g0 in small_catalogue:
+            for g in (g0, relabelled(g0, rng)):
+                for parts in partitions(g.order):
+                    ok, perm, nodes = sorted_feasibility_partition(g, parts)
+                    got = embed_diagonal_partition(g, parts, node_limit=nodes)
+                    assert got == (ok, perm), (g.name, parts)
+                    with pytest.raises(SearchLimitExceeded):
+                        embed_diagonal_partition(g, parts, node_limit=nodes - 1)
+
+
 class TestVerdictShape:
     def test_obstruction_only_on_negative_and_witness_only_on_positive(self, small_catalogue):
         from cayley_embed import EmbedVerdict
@@ -279,12 +354,12 @@ class TestVerdictShape:
                     assert v.witness is not None
 
     def test_node_limit_guard(self):
-        from cayley_embed import SearchLimitExceeded
-
         with pytest.raises(SearchLimitExceeded):
             find_embedding(fixtures()["interesting"], cyclic(16), node_limit=3)
         with pytest.raises(SearchLimitExceeded):
             count_embeddings(gen_row_cycle(2), cyclic(6), node_limit=2)
+        with pytest.raises(SearchLimitExceeded):
+            embed_diagonal_partition(cyclic(6), [1] * 6, node_limit=10)
 
 
 class TestParastropheDuality:

@@ -217,6 +217,17 @@ class TestPsi:
         r = psi(5, "group", [cyclic(5)], assume_complete=True)
         assert r.psi == 3
 
+    def test_default_class_is_built_once(self):
+        from cayley_embed.screening import default_group_class
+
+        for variant in ("group", "abelian", "cyclic"):
+            first = default_group_class(12, variant)
+            names = [g.name for g in first]
+            first.clear()  # each call returns its own list
+            again = default_group_class(12, variant)
+            assert [g.name for g in again] == names
+            assert all(a is b for a, b in zip(again, default_group_class(12, variant)))
+
     def test_json_schema(self):
         payload = psi(5, "cyclic").to_json()
         jsonschema.validate(payload, PSI_RESULT_SCHEMA)
