@@ -4,11 +4,12 @@
     python scripts/species_census.py --max-size 7
 
 Each size line gives the number of species keys the enumeration of that
-level computed: cache misses of the key function plus the parents it
-encoded directly, for their symmetries.  These counts do not depend on the
-machine.  The line ends with the SHA-256 of that level's species keys,
-concatenated in order; the total line gives the SHA-256 over all levels
-1..max-size in order, so two enumerations can be compared byte for byte.
+level computed: one for each parent (a species of the size below), whose key
+search also yields its symmetries, one for each tied deletion tested and one
+for each child accepted.  These counts do not depend on the machine.  The
+line ends with the SHA-256 of that level's species keys, concatenated in
+order; the total line gives the SHA-256 over all levels 1..max-size in
+order, so two enumerations can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import hashlib
 import time
 
 from cayley_embed import canonical_form, enumerate_species
-from cayley_embed.pls import _canonical_blob, _LeastEncoding
+from cayley_embed.pls import _LeastEncoding
 
 
 def main() -> int:
@@ -30,13 +31,11 @@ def main() -> int:
     # that each level's count is what one enumerate_species call computes
     rows = []
     for m in range(1, args.max_size + 1):
-        misses, runs = _canonical_blob.cache_info().misses, _LeastEncoding.runs
+        runs = _LeastEncoding.runs
         t0 = time.time()
         levels = enumerate_species(m)
         dt = time.time() - t0
-        keys = _LeastEncoding.runs - runs
-        parents = keys - (_canonical_blob.cache_info().misses - misses)
-        rows.append((dt, keys, parents))
+        rows.append((dt, _LeastEncoding.runs - runs, len(levels[m - 1]) if m > 1 else 0))
     total = hashlib.sha256()
     for m, (dt, keys, parents) in enumerate(rows, start=1):
         level = hashlib.sha256()

@@ -4,11 +4,19 @@ An embedding is a triple of injections (rows, columns, symbols) -> G with
 row_image * col_image = sym_image on every filled cell.  The search is exact
 backtracking with forward propagation: once two of the three images on a
 triple are known the third is forced by the group operation.
+
+The triples are searched in a fixed order, one step each.  Which of a
+triple's images are already set when the search reaches it depends only on
+the square and on whether the first row and column are pinned, not on the
+search path, so each step's case (check, force one image, or branch one or
+two and force the rest) is fixed in a step plan, built once per square and
+process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -109,172 +117,161 @@ class EmbedVerdict:
     method: str = "search"
 
 
-def _connectivity_order(triples: Sequence[Triple]) -> list[Triple]:
-    """Sorted-first greedy order; prefer triples sharing most coordinates."""
-    ts = sorted(triples)
-    chosen = [ts[0]]
-    rest = ts[1:]
-    rows, cols, syms = {ts[0][0]}, {ts[0][1]}, {ts[0][2]}
+# A step's case is 4 * row + 2 * col + sym, each bit set iff an earlier step
+# (or the pin) has set that image.  Every step sets all three, so the case
+# depends on the square and the pin alone, never on the search path.
+_CHECK, _FORCE_S, _FORCE_C, _BRANCH_C = 7, 6, 5, 4
+_FORCE_R, _BRANCH_R, _BRANCH_R_VIA_S, _BRANCH_RC = 3, 2, 1, 0
+
+
+@lru_cache(maxsize=1 << 16)
+def _search_plan(triples: tuple[Triple, ...], pin: bool) -> tuple[tuple, tuple]:
+    """The steps (case, row slot, col slot, sym slot), one per triple, and
+    each slot's line as (coordinate, label).
+
+    Triples go in connectivity order: the least first, then always the first
+    that shares the most lines with those before it.  A slot is a line's
+    place in the image array, numbered by first use; the pin sets slots 0
+    and 1, the first triple's row and column.
+    """
+    rest = sorted(triples)
+    slots = {(0, rest[0].row): 0, (1, rest[0].col): 1} if pin else {}
+    steps = []
     while rest:
-        best_i, best_known = 0, -1
-        for i, t in enumerate(rest):
-            known = (t[0] in rows) + (t[1] in cols) + (t[2] in syms)
-            if known > best_known:
-                best_i, best_known = i, known
-                if known == 3:
-                    break
-        t = rest.pop(best_i)
-        chosen.append(t)
-        rows.add(t[0])
-        cols.add(t[1])
-        syms.add(t[2])
-    return chosen
+        known = [sum((k, t[k]) in slots for k in range(3)) for t in rest]
+        t = rest.pop(known.index(max(known)))
+        case = 0
+        for k in range(3):
+            if (k, t[k]) in slots:
+                case |= 4 >> k
+            slots.setdefault((k, t[k]), len(slots))
+        steps.append((case, slots[0, t.row], slots[1, t.col], slots[2, t.sym]))
+    return tuple(steps), tuple(slots)
 
 
+@dataclass
 class _Searcher:
-    """Backtracking over triple images with propagation and injectivity."""
+    """Backtracking over triple images with propagation and injectivity.
 
-    def __init__(
-        self,
-        p: PLS,
-        g: Group,
-        *,
-        pin: bool,
-        node_limit: int = DEFAULT_NODE_LIMIT,
-    ):
-        self.p = p
-        self.g = g
-        self.order = _connectivity_order(p.triples)
-        n = g.order
-        self.row_img = [-1] * (p.n_rows + 1)
-        self.col_img = [-1] * (p.n_cols + 1)
-        self.sym_img = [-1] * (p.n_syms + 1)
-        self.row_used = [False] * n
-        self.col_used = [False] * n
-        self.sym_used = [False] * n
-        self.nodes = 0
-        self.node_limit = node_limit
-        self.witness: Optional[EmbeddingWitness] = None
-        if pin:
-            first = self.order[0]
-            self.row_img[first.row] = 0
-            self.row_used[0] = True
-            self.col_img[first.col] = 0
-            self.col_used[0] = True
+    `run` leaves its node count in `nodes` and its first embedding in `witness`.
+    """
+
+    p: PLS
+    g: Group
+    pin: bool
+    node_limit: int = DEFAULT_NODE_LIMIT
+    nodes: int = field(default=0, init=False)
+    witness: Optional[EmbeddingWitness] = field(default=None, init=False)
 
     def run(self, count_all: bool) -> int:
-        return self._rec(0, count_all)
+        steps, lines = _search_plan(self.p.triples, self.pin)
+        depth = len(steps)
+        n, table, inv = self.g.order, self.g.table, self.g.inverse
+        # a step reads only slots that earlier steps on the current path set,
+        # so backtracking clears the used flags and may leave the images
+        img = [-1] * len(lines)
+        row_used, col_used, sym_used = [False] * n, [False] * n, [False] * n
+        if self.pin:
+            img[0] = img[1] = 0
+            row_used[0] = col_used[0] = True
+        limit = self.node_limit
+        nodes = -1  # every call of rec below the root is a node
+        first: Optional[list[int]] = None
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.node_limit:
-            raise SearchLimitExceeded(f"embedding search exceeded {self.node_limit} nodes")
-
-    def _rec(self, i: int, count_all: bool) -> int:
-        if i == len(self.order):
-            if self.witness is None:
-                self.witness = EmbeddingWitness(
-                    {r: self.row_img[r] for r in range(1, self.p.n_rows + 1)},
-                    {c: self.col_img[c] for c in range(1, self.p.n_cols + 1)},
-                    {s: self.sym_img[s] for s in range(1, self.p.n_syms + 1)},
-                )
-            return 1
-        t = self.order[i]
-        table = self.g.table
-        inv = self.g.inverse
-        gr = self.row_img[t.row]
-        gc = self.col_img[t.col]
-        gs = self.sym_img[t.sym]
-        total = 0
-
-        def close_with(r: int, c: int, s: int, set_r: bool, set_c: bool, set_s: bool) -> int:
-            self._tick()
-            if set_r:
-                self.row_img[t.row] = r
-                self.row_used[r] = True
-            if set_c:
-                self.col_img[t.col] = c
-                self.col_used[c] = True
-            if set_s:
-                self.sym_img[t.sym] = s
-                self.sym_used[s] = True
-            got = self._rec(i + 1, count_all)
-            if set_r:
-                self.row_img[t.row] = -1
-                self.row_used[r] = False
-            if set_c:
-                self.col_img[t.col] = -1
-                self.col_used[c] = False
-            if set_s:
-                self.sym_img[t.sym] = -1
-                self.sym_used[s] = False
+        def rec(i: int) -> int:
+            nonlocal nodes, first
+            nodes += 1
+            if nodes > limit:
+                raise SearchLimitExceeded(f"embedding search exceeded {limit} nodes")
+            if i == depth:
+                if first is None:
+                    first = img[:]
+                return 1
+            case, a, b, c = steps[i]
+            nxt = i + 1
+            if case == _FORCE_S:
+                y_slot, y_used, y = c, sym_used, table[img[a]][img[b]]
+            elif case == _FORCE_C:
+                y_slot, y_used, y = b, col_used, table[inv[img[a]]][img[c]]
+            elif case == _FORCE_R:
+                y_slot, y_used, y = a, row_used, table[img[c]][inv[img[b]]]
+            elif case == _CHECK:
+                if table[img[a]][img[b]] == img[c]:
+                    return rec(nxt)
+                nodes += 1  # a failed check is a node too
+                if nodes > limit:
+                    raise SearchLimitExceeded(f"embedding search exceeded {limit} nodes")
+                return 0
+            else:
+                return branch(case, nxt, a, b, c)
+            # the one open image is forced to y
+            if y_used[y]:
+                return 0
+            img[y_slot] = y
+            y_used[y] = True
+            got = rec(nxt)
+            y_used[y] = False
             return got
 
-        if gr >= 0 and gc >= 0:
-            want = table[gr][gc]
-            if gs >= 0:
-                self._tick()
-                return self._rec(i + 1, count_all) if want == gs else 0
-            if not self.sym_used[want]:
-                total = close_with(gr, gc, want, False, False, True)
+        def branch(case: int, nxt: int, a: int, b: int, c: int) -> int:
+            total = 0
+            if case == _BRANCH_C:  # branch column, force symbol
+                row = table[img[a]]
+                for col in range(n):
+                    s = row[col]
+                    if col_used[col] or sym_used[s]:
+                        continue
+                    img[b], img[c] = col, s
+                    col_used[col] = sym_used[s] = True
+                    total += rec(nxt)
+                    col_used[col] = sym_used[s] = False
+                    if total and not count_all:
+                        break
+            elif case == _BRANCH_R:  # branch row, force symbol
+                gc = img[b]
+                for r in range(n):
+                    s = table[r][gc]
+                    if row_used[r] or sym_used[s]:
+                        continue
+                    img[a], img[c] = r, s
+                    row_used[r] = sym_used[s] = True
+                    total += rec(nxt)
+                    row_used[r] = sym_used[s] = False
+                    if total and not count_all:
+                        break
+            elif case == _BRANCH_R_VIA_S:  # branch row, force column
+                gs = img[c]
+                for r in range(n):
+                    col = table[inv[r]][gs]
+                    if row_used[r] or col_used[col]:
+                        continue
+                    img[a], img[b] = r, col
+                    row_used[r] = col_used[col] = True
+                    total += rec(nxt)
+                    row_used[r] = col_used[col] = False
+                    if total and not count_all:
+                        break
+            else:  # branch row, then column and symbol as _BRANCH_C
+                for r in range(n):
+                    if row_used[r]:
+                        continue
+                    img[a] = r
+                    row_used[r] = True
+                    total += branch(_BRANCH_C, nxt, a, b, c)
+                    row_used[r] = False
+                    if total and not count_all:
+                        break
             return total
-        if gr >= 0 and gs >= 0:
-            want = table[inv[gr]][gs]
-            if not self.col_used[want]:
-                total = close_with(gr, want, gs, False, True, False)
-            return total
-        if gc >= 0 and gs >= 0:
-            want = table[gs][inv[gc]]
-            if not self.row_used[want]:
-                total = close_with(want, gc, gs, True, False, False)
-            return total
-        n = self.g.order
-        if gr >= 0:  # column and symbol both open: branch column, force symbol
-            for c in range(n):
-                if self.col_used[c]:
-                    continue
-                s = table[gr][c]
-                if self.sym_used[s]:
-                    continue
-                total += close_with(gr, c, s, False, True, True)
-                if total and not count_all:
-                    return total
-            return total
-        if gc >= 0:
-            for r in range(n):
-                if self.row_used[r]:
-                    continue
-                s = table[r][gc]
-                if self.sym_used[s]:
-                    continue
-                total += close_with(r, gc, s, True, False, True)
-                if total and not count_all:
-                    return total
-            return total
-        if gs >= 0:
-            for r in range(n):
-                if self.row_used[r]:
-                    continue
-                c = table[inv[r]][gs]
-                if self.col_used[c]:
-                    continue
-                total += close_with(r, c, gs, True, True, False)
-                if total and not count_all:
-                    return total
-            return total
-        for r in range(n):
-            if self.row_used[r]:
-                continue
-            row = table[r]
-            for c in range(n):
-                if self.col_used[c]:
-                    continue
-                s = row[c]
-                if self.sym_used[s]:
-                    continue
-                total += close_with(r, c, s, True, True, True)
-                if total and not count_all:
-                    return total
+
+        try:
+            total = rec(0)
+        finally:
+            self.nodes = nodes
+        if first is not None:
+            maps: tuple[dict[int, int], ...] = ({}, {}, {})
+            for (k, label), x in zip(lines, first):
+                maps[k][label] = x
+            self.witness = EmbeddingWitness(*maps)
         return total
 
 

@@ -559,13 +559,15 @@ def _species_level(m: int) -> list[PLS]:
             if nxt == 1:
                 level = [validate_pls([(1, 1, 1)])]
             else:
+                # keys skip _canonical_blob's process-wide cache: enumeration
+                # meets almost every child and every deletion only once
                 keys: set[bytes] = set()
                 for parent in _species_levels[-1]:
                     enc = _LeastEncoding(parent.triples)
                     parent_key = enc.blob()
                     for cells, added in _extensions(parent, _box_symmetries(parent, enc)):
                         if _canonical_deletion(cells, added, parent_key):
-                            keys.add(_canonical_blob(cells))
+                            keys.add(_LeastEncoding(cells).blob())
                 level = [SpeciesKey(b).to_pls() for b in sorted(keys)]
             _species_levels.append(level)
     return _species_levels[m - 1]
@@ -679,7 +681,7 @@ def _canonical_deletion(cells: tuple[Triple, ...], added: Triple, parent_key: by
             return False
         tied = [i for i in tied if fine[i] == mine]
     for i in tied:
-        if cells[i] != added and _canonical_blob(cells[:i] + cells[i + 1 :]) < parent_key:
+        if cells[i] != added and _LeastEncoding(cells[:i] + cells[i + 1 :]).blob() < parent_key:
             return False
     return True
 

@@ -7,8 +7,9 @@ obstacle.  The pipeline screens species with two reduction rules (applied
 over all six parastrophes) plus the diagonal transversal bound, and settles
 the survivors by exact search, host by host up to the first that embeds;
 certificates are built for obstacles only.  What it reads of a species for
-every n (key, reduction plan, identity-image quadrangle verdict, row-cycle
-length) is recorded once per process.  Screening is advisory only: a species
+every n (key, reduction plan, row-cycle length) is recorded once per process,
+and so is the first parastrophe image that violates the quadrangle criterion,
+for the species that reach search.  Screening is advisory only: a species
 is never declared embeddable off a reduction unless its reduced square was
 itself proved embeddable for the same (n, variant).
 """
@@ -223,14 +224,13 @@ class _Record(NamedTuple):
     """What psi and screen_size read of one representative, for every n.
 
     `steps` pairs each plan threshold with the key of the remainder the step
-    leaves; `quadrangle` is the identity image's quadrangle verdict.
+    leaves.
     """
 
     rep: PLS
     key: bytes
     t_species: bool
     steps: tuple[tuple[int, bytes], ...]
-    quadrangle: bool
     cycle: Optional[int]
 
 
@@ -249,11 +249,17 @@ def _records(size: int) -> tuple[_Record, ...]:
             bytes(x for t in rep.triples for x in t),  # its own least encoding
             is_t_species(rep),
             tuple((step.threshold, _reduced_key(rep, step)) for step in _plan(rep)),
-            quadrangle_violation(rep),
             row_cycle_length(rep),
         )
         for rep in enumerate_species(size)[size]
     )
+
+
+@lru_cache(maxsize=None)
+def _quadrangle_image(rep: PLS) -> Optional[Parastrophe]:
+    """The first parastrophe whose image of rep violates the quadrangle
+    criterion, if any: then no group hosts rep's species."""
+    return next((s for s in ALL_PARASTROPHES if quadrangle_violation(parastrophe(rep, s))), None)
 
 
 def _reduced(rec: _Record, n: int) -> Optional[bytes]:
@@ -379,7 +385,7 @@ def _group_class(n: int, variant: str) -> tuple[Group, ...]:
 
 def _embeds_in_some(rec: _Record, groups: Sequence[Group]) -> bool:
     """Search the hosts in turn up to the first that embeds rec's square."""
-    if rec.quadrangle:
+    if _quadrangle_image(rec.rep) is not None:
         return False
     return any(
         find_embedding(rec.rep, g).embeddable
@@ -390,13 +396,7 @@ def _embeds_in_some(rec: _Record, groups: Sequence[Group]) -> bool:
 
 def _certificate(rec: _Record, n: int, groups: Sequence[Group]) -> dict:
     """Why no group of the class hosts the obstacle rec."""
-    # a violation in any parastrophe image rules out every group, since
-    # same-species squares embed alike; the record has the identity image's verdict
-    if rec.quadrangle:
-        sigma = ALL_PARASTROPHES[0]
-    else:
-        images = ALL_PARASTROPHES[1:]
-        sigma = next((s for s in images if quadrangle_violation(parastrophe(rec.rep, s))), None)
+    sigma = _quadrangle_image(rec.rep)
     if sigma is not None:
         return {"kind": "quadrangle", "parastrophe": list(sigma.perm)}
     if rec.cycle is not None and n % rec.cycle:

@@ -1,8 +1,13 @@
+import hashlib
+import json
+import random
 from collections import Counter
 from itertools import permutations
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cayley_embed import (
     EmbeddingWitness,
@@ -31,7 +36,8 @@ from cayley_embed import (
     validate_pls,
     verify_witness,
 )
-from cayley_embed.embed import WITNESS_SCHEMA
+from cayley_embed.embed import WITNESS_SCHEMA, _Searcher
+from cayley_embed.verify import scramble
 
 
 def brute_force_count(p, g):
@@ -360,6 +366,64 @@ class TestVerdictShape:
             count_embeddings(gen_row_cycle(2), cyclic(6), node_limit=2)
         with pytest.raises(SearchLimitExceeded):
             embed_diagonal_partition(cyclic(6), [1] * 6, node_limit=10)
+
+
+class TestSearchKernel:
+    def test_search_grid_is_pinned(self, small_catalogue):
+        # verdict, first witness and node count of the search over a fixed
+        # grid: counting every species of size <= 4 in every group of order
+        # <= 8, unpinned and pinned, then deciding every size-6 species in
+        # every group of order 6-12 the way find_embedding searches it
+        digest = hashlib.sha256()
+
+        def record(p, g, pin, count_all):
+            s = _Searcher(p, g, pin=pin)
+            got = s.run(count_all=count_all)
+            w = None if s.witness is None else s.witness.to_json()
+            digest.update(json.dumps([got, w, s.nodes], sort_keys=True).encode())
+
+        species = enumerate_species(6)
+        for size in range(1, 5):
+            for p in species[size]:
+                for g in small_catalogue:
+                    for pin in (False, True):
+                        record(p, g, pin, True)
+        for n in range(6, 13):
+            for g in groups_of_order(n):
+                for p in species[6]:
+                    record(p, g, True, False)
+        assert digest.hexdigest() == (
+            "61bfb71149a4501e4ceec5e24e690b6b8bf4f98cb8788b21b598f8458f6c110f"
+        )
+
+    def test_node_limit_boundary_on_refutation(self):
+        # nonab embeds in no group of order 6 but D6: in Z6 every entry point
+        # searches to exhaustion, and a limit of exactly the nodes used passes
+        p, g = fixtures()["nonab"], cyclic(6)
+        for run, pin, count_all in (
+            (find_embedding, True, False),
+            (count_embeddings, False, True),
+            (count_embeddings_pinned, True, True),
+        ):
+            s = _Searcher(p, g, pin=pin)
+            assert not s.run(count_all=count_all)
+            got = run(p, g, node_limit=s.nodes)
+            assert not (got.embeddable if run is find_embedding else got)
+            with pytest.raises(SearchLimitExceeded):
+                run(p, g, node_limit=s.nodes - 1)
+
+    @given(st.data())
+    def test_decision_agrees_with_pinned_count(self, small_catalogue, data):
+        # a seeded scramble of a species of size <= 5 in a group of order <= 8
+        reps = [p for ps in enumerate_species(5).values() for p in ps]
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        p = scramble(rng, data.draw(st.sampled_from(reps)))
+        g = data.draw(st.sampled_from(small_catalogue))
+        v = find_embedding(p, g)
+        assert v.embeddable == (count_embeddings_pinned(p, g) > 0)
+        for w in (v.witness, find_embedding(p, g, paranoid=True).witness):
+            if w is not None:
+                assert verify_witness(p, g, w)
 
 
 class TestParastropheDuality:
