@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .embed import EmbeddingWitness
 from .groups import Group, dihedral
-from .pls import PLS, validate_pls
+from .pls import PLS, parse_grid
 
 _FIXTURE_GRIDS: dict[str, str] = {
     "quadcrit_a": "a b .\nc a b\n. c d",
@@ -91,13 +91,7 @@ def _dense_maps(grid: str) -> tuple[dict[int, int], dict[int, int], dict[str, in
 @lru_cache(maxsize=1)
 def fixtures() -> dict[str, PLS]:
     """All sixteen named squares, validated."""
-    out = {}
-    for name, grid in _FIXTURE_GRIDS.items():
-        _, _, smap = _dense_maps(grid)
-        out[name] = validate_pls(
-            [(r, c, smap[tok]) for r, c, tok in _grid_cells(grid)]
-        )
-    return out
+    return {name: parse_grid(grid) for name, grid in _FIXTURE_GRIDS.items()}
 
 
 def cyclic_witness(name: str, n: int) -> EmbeddingWitness:

@@ -332,10 +332,11 @@ def _generating_sequence(g: Group) -> list[int]:
     return gens
 
 
-def _extend_map(g: Group, h: Group, gens: Sequence[int], images: Sequence[int]) -> Optional[list[int]]:
-    """Map <gens> -> h with gens[i] -> images[i]; None on any inconsistency."""
-    n = g.order
+def _extend_map(g: Group, h: Group, gens: Sequence[int], images: Sequence[int]) -> Optional[dict[int, int]]:
+    """Map <gens> -> h with gens[i] -> images[i], or None if that is
+    inconsistent or not injective on <gens>."""
     mapping: dict[int, int] = {0: 0}
+    used = {0}
     frontier = [0]
     while frontier:
         nxt = []
@@ -346,17 +347,15 @@ def _extend_map(g: Group, h: Group, gens: Sequence[int], images: Sequence[int]) 
                 yh = h.table[y][hi]
                 cur = mapping.get(xg)
                 if cur is None:
+                    if yh in used:
+                        return None
                     mapping[xg] = yh
+                    used.add(yh)
                     nxt.append(xg)
                 elif cur != yh:
                     return None
         frontier = nxt
-    if len(mapping) != n or len(set(mapping.values())) != n:
-        return None
-    out = [0] * n
-    for k, v in mapping.items():
-        out[k] = v
-    return out
+    return mapping
 
 
 def isomorphic(g: Group, h: Group) -> bool:
@@ -376,11 +375,13 @@ def isomorphic(g: Group, h: Group) -> bool:
     for x in range(h.order):
         by_order.setdefault(h.element_orders[x], []).append(x)
 
-    def search(i: int, images: list[int]) -> bool:
+    def search(images: list[int]) -> bool:
+        i = len(images)
+        phi = _extend_map(g, h, gens[:i], images)
+        if phi is None:
+            return False
         if i == len(gens):
-            phi = _extend_map(g, h, gens, images)
-            if phi is None:
-                return False
+            # gens generate g, so phi is a bijection; check it is a homomorphism
             n = g.order
             return all(
                 phi[g.table[a][b]] == h.table[phi[a]][phi[b]]
@@ -389,38 +390,12 @@ def isomorphic(g: Group, h: Group) -> bool:
             )
         for cand in by_order.get(g.element_orders[gens[i]], []):
             images.append(cand)
-            # quick partial consistency: try extending with the prefix
-            if _extend_partial_ok(g, h, gens[: i + 1], images) and search(i + 1, images):
+            if search(images):
                 return True
             images.pop()
         return False
 
-    return search(0, [])
-
-
-def _extend_partial_ok(g: Group, h: Group, gens: Sequence[int], images: Sequence[int]) -> bool:
-    """The subgroup generated by the prefix must map consistently and injectively."""
-    mapping: dict[int, int] = {0: 0}
-    used = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            y = mapping[x]
-            for gi, hi in zip(gens, images):
-                xg = g.table[x][gi]
-                yh = h.table[y][hi]
-                cur = mapping.get(xg)
-                if cur is None:
-                    if yh in used:
-                        return False
-                    mapping[xg] = yh
-                    used.add(yh)
-                    nxt.append(xg)
-                elif cur != yh:
-                    return False
-        frontier = nxt
-    return True
+    return search([])
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ obstacle.  The pipeline screens species with two reduction rules (applied
 over all six parastrophes) plus the diagonal transversal bound, and settles
 the survivors by exact search, host by host up to the first that embeds;
 certificates are built for obstacles only.  What it reads of a species for
-every n (key, reduction plan, row-cycle length) is recorded once per process,
-and so is the first parastrophe image that violates the quadrangle criterion,
-for the species that reach search.  Screening is advisory only: a species
-is never declared embeddable off a reduction unless its reduced square was
-itself proved embeddable for the same (n, variant).
+every n (key, least n at which a reduction applies, row-cycle length) is
+recorded once per process, and so is the first parastrophe image that
+violates the quadrangle criterion, for the species that reach search.  A
+reduction settles a species by psi's own induction on size: psi screens a
+size only once every smaller species has been proved embeddable for the
+same (n, variant), and each rule lifts an embedding of the smaller square it
+leaves to one of the whole square in the same group.
 """
 
 from __future__ import annotations
@@ -21,14 +23,20 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .embed import find_embedding, quadrangle_violation, transversal_fast_path
-from .groups import Group, OrderUnsupported, abelian_groups_of_order, cyclic, groups_of_order
+from .groups import (
+    MAX_CATALOGUE_ORDER,
+    Group,
+    OrderUnsupported,
+    abelian_groups_of_order,
+    cyclic,
+    groups_of_order,
+)
 from .pls import (
     ALL_PARASTROPHES,
     PLS,
     Parastrophe,
     SpeciesKey,
     Triple,
-    canonical_form,
     enumerate_species,
     is_t_species,
     parastrophe,
@@ -223,22 +231,15 @@ def reducible(p: PLS, n: int) -> Optional[ReductionCertificate]:
 class _Record(NamedTuple):
     """What psi and screen_size read of one representative, for every n.
 
-    `steps` pairs each plan threshold with the key of the remainder the step
-    leaves.
+    `least` is the least n at which some reduction applies (the least plan
+    threshold), or None when no reduction ever applies.
     """
 
     rep: PLS
     key: bytes
     t_species: bool
-    steps: tuple[tuple[int, bytes], ...]
+    least: Optional[int]
     cycle: Optional[int]
-
-
-def _reduced_key(p: PLS, step: _Step) -> bytes:
-    # keyed on the densely relabelled remainder, as enumeration keys squares;
-    # b"" stands for the empty remainder of a step that removes the whole square
-    reduced = _apply(p, step)[1]
-    return b"" if reduced is None else canonical_form(reduced).blob
 
 
 @lru_cache(maxsize=None)
@@ -248,10 +249,17 @@ def _records(size: int) -> tuple[_Record, ...]:
             rep,
             bytes(x for t in rep.triples for x in t),  # its own least encoding
             is_t_species(rep),
-            tuple((step.threshold, _reduced_key(rep, step)) for step in _plan(rep)),
+            min((step.threshold for step in _plan(rep)), default=None),
             row_cycle_length(rep),
         )
         for rep in enumerate_species(size)[size]
+    )
+
+
+def _settled(rec: _Record, size: int, n: int) -> bool:
+    """True iff the transversal bound or some reduction settles rec at order n."""
+    return transversal_fast_path(rec.t_species, size, n) or (
+        rec.least is not None and rec.least <= n
     )
 
 
@@ -260,11 +268,6 @@ def _quadrangle_image(rep: PLS) -> Optional[Parastrophe]:
     """The first parastrophe whose image of rep violates the quadrangle
     criterion, if any: then no group hosts rep's species."""
     return next((s for s in ALL_PARASTROPHES if quadrangle_violation(parastrophe(rep, s))), None)
-
-
-def _reduced(rec: _Record, n: int) -> Optional[bytes]:
-    """Key of the remainder left by the first plan step that holds at n, if any."""
-    return next((key for threshold, key in rec.steps if threshold <= n), None)
 
 
 def screen_size(size: int, n: int) -> list[SpeciesKey]:
@@ -278,11 +281,7 @@ def screen_size(size: int, n: int) -> list[SpeciesKey]:
         raise ValueError(f"screening supports sizes 1..{MAX_SCREEN_SIZE}, got {size}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return [
-        SpeciesKey(rec.key)
-        for rec in _records(size)
-        if not transversal_fast_path(rec.t_species, size, n) and _reduced(rec, n) is None
-    ]
+    return [SpeciesKey(rec.key) for rec in _records(size) if not _settled(rec, size, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +414,15 @@ def psi(
     """Compute psi for the given order and variant, with its obstacle species.
 
     `groups` must be the complete class of groups for (n, variant); when
-    omitted it is built from the catalogue (order <= 16 for variant="group").
-    Passing an explicit list for an uncatalogued order requires
-    assume_complete=True.  Sizes ascend with the inductive rule: a species is
-    embeddable if a reduction lands on an already-embeddable species, if the
-    diagonal fast path certifies it, or if search embeds it in some listed
-    group.  psi is one less than the first size with a non-embeddable
-    species, and the obstacles are all such species at that size.
+    omitted it is built from the catalogue (order <= MAX_CATALOGUE_ORDER for
+    variant="group").  Passing an explicit list for an uncatalogued order
+    requires assume_complete=True.  Sizes ascend with the inductive rule: a
+    species is embeddable if the diagonal fast path certifies it, if a
+    reduction applies at n (it leaves a smaller species, which is embeddable
+    by then), or if search embeds it in some listed group.  psi is one less
+    than the first size with a non-embeddable species, and the obstacles are
+    all such species at that size; sizes run up to MAX_SCREEN_SIZE (n + 1
+    for n <= 4).
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -431,32 +432,27 @@ def psi(
         groups = default_group_class(n, variant)
     else:
         groups = list(groups)
-        if variant == "group" and n > 16 and not assume_complete:
+        if variant == "group" and n > MAX_CATALOGUE_ORDER and not assume_complete:
             raise IncompleteClass(
-                "catalogue completeness is only known for orders <= 16; "
+                f"catalogue completeness is only known for orders <= {MAX_CATALOGUE_ORDER}; "
                 "pass assume_complete=True to trust the supplied class"
             )
     if not groups or any(g.order != n for g in groups):
         raise ValueError(f"group class must be nonempty groups of order {n}")
 
-    cap = n + 1 if n <= 4 else 7
-    known: dict[bytes, bool] = {b"": True}  # the empty square embeds anywhere
+    cap = n + 1 if n <= 4 else MAX_SCREEN_SIZE
     survivor_counts: dict[int, int] = {}
     for size in range(1, cap + 1):
-        searched = 0
-        bad = []
-        for rec in _records(size):
-            if use_screening and (
-                transversal_fast_path(rec.t_species, size, n) or known.get(_reduced(rec, n))
-            ):
-                embeddable = True
-            else:
-                searched += 1
-                embeddable = _embeds_in_some(rec, groups)
-                if not embeddable:
-                    bad.append(rec)
-            known[rec.key] = embeddable
-        survivor_counts[size] = searched
+        # A reduction that applies at n settles its species without a look at
+        # what it leaves.  Every smaller species embeds in a listed group, or psi
+        # would have returned already, and each rule lifts an embedding of what
+        # it leaves, in a group of order n, to one of the whole square in the
+        # same group.
+        survivors = [
+            rec for rec in _records(size) if not (use_screening and _settled(rec, size, n))
+        ]
+        survivor_counts[size] = len(survivors)
+        bad = [rec for rec in survivors if not _embeds_in_some(rec, groups)]
         if bad:
             obstacles = tuple(
                 Obstacle(SpeciesKey(rec.key), rec.rep, _certificate(rec, n, groups)) for rec in bad

@@ -218,7 +218,7 @@ class TestIsomorphism:
         assert cyclic(9).abelian
 
     def test_equivalence_on_catalogue(self):
-        for n in (4, 6, 8, 12):
+        for n in (1, 2, 4, 6, 8, 12):
             cat = groups_of_order(n)
             for g in cat:
                 assert isomorphic(g, g)

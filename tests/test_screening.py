@@ -269,6 +269,28 @@ class TestPsi:
             "5442ae60d188746d6a834e4a2e9492833f1d205a3118a97a74b45058062dd8a9"
         )
 
+    def test_survivors_are_screen_sizes(self):
+        # psi and screen_size settle species by one predicate, over every
+        # catalogue job of the psi sweep
+        jobs = [(n, "group") for n in range(1, 17)]
+        jobs += [(n, v) for n in range(1, 25) for v in ("abelian", "cyclic")]
+        for n, variant in jobs:
+            for size, count in psi(n, variant).survivor_counts.items():
+                assert count == len(screen_size(size, n)), (n, variant, size)
+
+    def test_cold_records_key_no_remainders(self):
+        # a reduction settles its species by psi's induction on size, so the
+        # record build keys no remainder; only row_cycle_length keys squares
+        from cayley_embed import pls, screening
+
+        enumerate_species(7)
+        screening._records.cache_clear()
+        pls._canonical_blob.cache_clear()
+        runs = pls._LeastEncoding.runs
+        for size in range(1, 8):
+            screening._records(size)
+        assert pls._LeastEncoding.runs - runs <= 2
+
     def test_variant_ordering_invariant(self):
         # psi_circ <= psi_plus <= psi on a spread of orders
         for n in (2, 3, 4, 5, 6, 8, 9, 12):
