@@ -387,27 +387,16 @@ def quadrangle_violation(p: PLS) -> bool:
     that p embeds in no group at all.  Quadrangle corners may coincide.
     """
     cells = p.cell_map()
-    rows = sorted({t.row for t in p.triples})
-    cols = sorted({t.col for t in p.triples})
-    quads: dict[tuple[int, int, int], set[int]] = {}
-    for r1 in rows:
-        for r2 in rows:
-            for c1 in cols:
-                s11 = cells.get((r1, c1))
-                if s11 is None:
-                    continue
-                s21 = cells.get((r2, c1))
-                if s21 is None:
-                    continue
-                for c2 in cols:
-                    s12 = cells.get((r1, c2))
-                    if s12 is None:
-                        continue
-                    s22 = cells.get((r2, c2))
-                    if s22 is None:
-                        continue
-                    quads.setdefault((s11, s12, s21), set()).add(s22)
-    return any(len(v) > 1 for v in quads.values())
+    # the first s22 seen for each (s11, s12, s21)
+    fourth: dict[tuple[int, int, int], int] = {}
+    for (r1, c1), s11 in cells.items():
+        for (r2, c2), s22 in cells.items():
+            s12 = cells.get((r1, c2))
+            s21 = cells.get((r2, c1))
+            if s12 is not None and s21 is not None:
+                if fourth.setdefault((s11, s12, s21), s22) != s22:
+                    return True
+    return False
 
 
 class PartitionInvalid(ValueError):

@@ -130,11 +130,6 @@ class Parastrophe:
         p = self.perm
         return Triple(t[p[0]], t[p[1]], t[p[2]])
 
-    def __mul__(self, other: "Parastrophe") -> "Parastrophe":
-        # composition: self applied after other
-        p, q = self.perm, other.perm
-        return Parastrophe((q[p[0]], q[p[1]], q[p[2]]))
-
 
 TRANSPOSE = Parastrophe((1, 0, 2))
 #: all six parastrophes in fixed (lexicographic) order; used wherever a
@@ -511,25 +506,31 @@ class _LeastEncoding:
 # A size-m PLS minus any triple is (after dense relabelling) a size-(m-1) PLS,
 # and the deleted triple sits inside the bounding box grown by one in each
 # dimension, so augmenting every size-(m-1) representative over that box
-# reaches every species.  Canonical augmentation (McKay, "Isomorph-free
-# exhaustive generation", J. Algorithms 26, 1998) keeps a child only when
-# its added triple is a canonical deletion: among the triples with the
-# greatest invariant profile, one whose deletion leaves the least key.  All
-# members of a species then have the same parent species, so a species is
-# only found among the children of that one representative (isomorphic
-# siblings still meet in the key set), and most children are rejected on the
-# profile alone, before any key is computed.
+# reaches every species.  A child is kept only when its added triple has the
+# greatest invariant profile (`_greatest_profile`), and the kept children
+# meet in one key set.  No species is lost:
+#
+# * every species has a triple of greatest (profile, refined profile);
+# * deleting it leaves a species of the size below, and the isomorphism onto
+#   that species' representative carries the triple into the representative's
+#   grown box; the representative is extended there once per orbit of a group
+#   of its symmetries (below), and the child met is isomorphic to the species
+#   with its added triple still of greatest profile, profiles being invariant;
+# * a species met from several parents, or as several siblings, merges in
+#   the key set.
+#
+# Most children fail the profile, before any key is computed.
 #
 # Each parent is also extended only once per orbit of its symmetries (McKay,
-# same paper): the parent's own key search yields its key together with the
-# autotopisms and autoparatopisms it meets, and a union-find pass over the
-# triples of the grown box keeps the first triple of each orbit of the group
-# they generate, a new line going to the new line of its image coordinate.
-# Any subgroup of the parent's automorphism group will do: two triples that
-# an automorphism maps onto each other give isomorphic children, with the
-# same key and the same canonical-deletion verdict, so the keys kept, and
-# the representatives and their order, do not depend on which symmetries the
-# search happened to find.
+# "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): the
+# parent's own key search yields the autotopisms and autoparatopisms it
+# meets, and a union-find pass over the triples of the grown box keeps the
+# first triple of each orbit of the group they generate, a new line going to
+# the new line of its image coordinate.  Any subgroup of the parent's
+# automorphism group will do: two triples that an automorphism maps onto
+# each other give isomorphic children, with the same key and the same
+# profiles, so the keys kept, and the representatives and their order, do
+# not depend on which symmetries the search happened to find.
 
 _species_lock = threading.Lock()
 _species_levels: list[list[PLS]] = []
@@ -560,13 +561,12 @@ def _species_level(m: int) -> list[PLS]:
                 level = [validate_pls([(1, 1, 1)])]
             else:
                 # keys skip _canonical_blob's process-wide cache: enumeration
-                # meets almost every child and every deletion only once
+                # meets almost every child only once
                 keys: set[bytes] = set()
                 for parent in _species_levels[-1]:
                     enc = _LeastEncoding(parent.triples)
-                    parent_key = enc.blob()
                     for cells, added in _extensions(parent, _box_symmetries(parent, enc)):
-                        if _canonical_deletion(cells, added, parent_key):
+                        if _greatest_profile(cells, added):
                             keys.add(_LeastEncoding(cells).blob())
                 level = [SpeciesKey(b).to_pls() for b in sorted(keys)]
             _species_levels.append(level)
@@ -647,14 +647,13 @@ def _extensions(p: PLS, symmetries: Sequence[_BoxSymmetry] = ()):
         yield tuple(sorted(base + (t,))), t
 
 
-def _canonical_deletion(cells: tuple[Triple, ...], added: Triple, parent_key: bytes) -> bool:
-    """Whether deleting `added` from `cells` is a canonical deletion.
+def _greatest_profile(cells: tuple[Triple, ...], added: Triple) -> bool:
+    """Whether `added` has the greatest profile of the triples in `cells`.
 
-    The profile of a triple is the sorted degrees of its three lines, refined
-    by the sorted profiles met on each line; both are species invariants.
-    `added` must have the greatest profile, and no other triple with that
-    profile may leave a smaller key than `parent_key`, the key of `cells`
-    minus `added`.
+    The profile of a triple is the sorted degrees of its three lines; among
+    the triples tied on it, `added` must also have the greatest refined
+    profile, the sorted profiles met on each of its lines.  Both are species
+    invariants.
     """
     deg: list[dict[int, int]] = [{}, {}, {}]
     for t in cells:
@@ -665,25 +664,19 @@ def _canonical_deletion(cells: tuple[Triple, ...], added: Triple, parent_key: by
     mine = prof[cells.index(added)]
     if mine != max(prof):
         return False
-    tied = [i for i, q in enumerate(prof) if q == mine]
-    if len(tied) > 1:
-        met: list[dict[int, list]] = [{}, {}, {}]
-        for t, q in zip(cells, prof):
-            for k in range(3):
-                met[k].setdefault(t[k], []).append(q)
+    tied = [t for t, q in zip(cells, prof) if q == mine]
+    if len(tied) == 1:
+        return True
+    met: list[dict[int, list]] = [{}, {}, {}]
+    for t, q in zip(cells, prof):
+        for k in range(3):
+            met[k].setdefault(t[k], []).append(q)
 
-        def refined(t: Triple) -> list:
-            return sorted(sorted(met[k][t[k]]) for k in range(3))
+    def refined(t: Triple) -> list:
+        return sorted(sorted(met[k][t[k]]) for k in range(3))
 
-        fine = {i: refined(cells[i]) for i in tied}
-        mine = refined(added)
-        if any(q > mine for q in fine.values()):
-            return False
-        tied = [i for i in tied if fine[i] == mine]
-    for i in tied:
-        if cells[i] != added and _LeastEncoding(cells[:i] + cells[i + 1 :]).blob() < parent_key:
-            return False
-    return True
+    mine = refined(added)
+    return all(refined(t) <= mine for t in tied)
 
 
 def sub_species_contains(p: PLS, q: PLS) -> bool:

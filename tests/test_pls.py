@@ -119,18 +119,24 @@ class TestParastrophe:
         assert parastrophe(parastrophe(p, sigma), sigma) == p
 
     def test_composition_is_s3(self):
-        perms = {s.perm for s in ALL_PARASTROPHES}
-        assert len(perms) == 6
+        # 2 rows, 3 columns and 4 symbols: the six images of p are distinct,
+        # and applying two parastrophes in turn gives one of them
+        p = validate_pls([(1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 1, 4)])
+        images = {parastrophe(p, s) for s in ALL_PARASTROPHES}
+        assert len(images) == 6
         for a, b in product(ALL_PARASTROPHES, repeat=2):
-            assert (a * b).perm in perms
+            assert parastrophe(parastrophe(p, b), a) in images
         ident = ALL_PARASTROPHES[0]
         for a in ALL_PARASTROPHES:
-            assert (a * ident).perm == a.perm == (ident * a).perm
+            q = parastrophe(p, a)
+            assert parastrophe(parastrophe(p, ident), a) == q == parastrophe(q, ident)
 
     @given(pls_strategy())
     def test_apply_matches_composition(self, p):
+        # b then a is the parastrophe that reads b's roles through a's
         a, b = ALL_PARASTROPHES[3], ALL_PARASTROPHES[4]
-        assert parastrophe(parastrophe(p, b), a) == parastrophe(p, a * b)
+        ab = Parastrophe(tuple(b.perm[k] for k in a.perm))
+        assert parastrophe(parastrophe(p, b), a) == parastrophe(p, ab)
 
 
 class TestCanonicalForm:
@@ -222,6 +228,21 @@ class TestEnumeration:
                         assert {g.image(t) for t in p.triples} == set(p.triples)
                         assert {g.image(t) for t in added} == added
         assert found["autos"] and found["paras"]
+
+    def test_cold_enumeration_key_count(self):
+        # a child is keyed only when its added triple has the greatest
+        # profile, and no deletion is keyed; the saved levels go back so that
+        # later tests keep the representatives that screening caches
+        from cayley_embed import pls
+
+        saved = list(pls._species_levels)
+        pls._species_levels.clear()
+        try:
+            runs = _LeastEncoding.runs
+            enumerate_species(7)
+            assert _LeastEncoding.runs - runs == 3420
+        finally:
+            pls._species_levels[:] = saved
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
