@@ -6,7 +6,9 @@
 Each size line gives the number of species keys the enumeration of that
 level computed: one for each parent (a species of the size below), whose key
 search also yields its symmetries, and one for each child whose added triple
-has the greatest profile.  These counts do not depend on the machine.  The
+has the greatest profile.  A level's parents are shared out over one forked
+process per CPU, and each process's keys are added to the count, so the
+counts still do not depend on the machine or its number of CPUs.  The
 line ends with the SHA-256 of that level's species keys, concatenated in
 order; the total line gives the SHA-256 over all levels 1..max-size in
 order, so two enumerations can be compared byte for byte.

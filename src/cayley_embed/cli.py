@@ -3,8 +3,9 @@
 Exit codes separate mathematical results from operational failures: a "not
 embeddable" verdict exits 0 (it is an answer), bad flags or arguments exit 2,
 unreadable or invalid input files or group specs and output files that cannot
-be written exit 3, and ``verify-paper`` exits 1 when any criterion fails.
-Exits 2 and 3 print one ``error:`` line on stderr.
+be written exit 3, a search that exhausts its node budget exits 4, and
+``verify-paper`` exits 1 when any criterion fails.  Exits 2, 3 and 4 print
+one ``error:`` line on stderr.
 
 Each ``cmd_*`` only computes; ``main`` times it, reports it and maps its
 errors to exit codes.
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from . import __version__, verify
-from .embed import count_embeddings, embed_diagonal_partition, find_embedding
+from .embed import SearchLimitExceeded, count_embeddings, embed_diagonal_partition, find_embedding
 from .groups import format_group_file, groups_of_order, parse_group_spec
 from .pls import canonical_form, enumerate_species, format_species_file, parse_pls
 from .screening import psi, screen_size
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+EXIT_SEARCH_LIMIT = 4
 
 
 class _ParseFailure(Exception):
@@ -313,6 +315,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # every argument check in the library raises a ValueError subclass
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE if isinstance(exc, _ParseFailure) else EXIT_USAGE
+    except SearchLimitExceeded as exc:
+        print(f"error: search budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_SEARCH_LIMIT
     if args.json:
         report = {
             "command": args.command,

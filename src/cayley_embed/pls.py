@@ -9,6 +9,9 @@ relabels everything densely in first-appearance order.
 
 from __future__ import annotations
 
+import marshal
+import os
+import signal
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -519,7 +522,10 @@ class _LeastEncoding:
 # * a species met from several parents, or as several siblings, merges in
 #   the key set.
 #
-# Most children fail the profile, before any key is computed.
+# Most children fail the profile, before any key is computed, and most box
+# triples are dropped before the child is even built: a triple only raises
+# the degrees of its lines, so the added triple must reach the parent's
+# greatest profile.
 #
 # Each parent is also extended only once per orbit of its symmetries (McKay,
 # "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): the
@@ -531,6 +537,12 @@ class _LeastEncoding:
 # each other give isomorphic children, with the same key and the same
 # profiles, so the keys kept, and the representatives and their order, do
 # not depend on which symmetries the search happened to find.
+#
+# The parents of a level are extended independently of each other, so a level
+# is dealt out by stride over one forked process per CPU, the caller taking
+# the first share.  Each child sends back its keys and the number of keys it
+# computed; the key set is sorted and the count summed, so neither the
+# representatives nor `_LeastEncoding.runs` depend on the number of processes.
 
 _species_lock = threading.Lock()
 _species_levels: list[list[PLS]] = []
@@ -542,7 +554,9 @@ def enumerate_species(max_size: int) -> dict[int, list[PLS]]:
     """One canonical representative per species, for each size 1..max_size.
 
     Representatives are the decoded canonical forms, sorted by species key.
-    Levels are cached for the lifetime of the process.
+    Levels are cached for the lifetime of the process.  A level not yet
+    cached is built over one forked process per CPU, all of which have
+    ended when this returns or raises.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -560,17 +574,98 @@ def _species_level(m: int) -> list[PLS]:
             if nxt == 1:
                 level = [validate_pls([(1, 1, 1)])]
             else:
-                # keys skip _canonical_blob's process-wide cache: enumeration
-                # meets almost every child only once
-                keys: set[bytes] = set()
-                for parent in _species_levels[-1]:
-                    enc = _LeastEncoding(parent.triples)
-                    for cells, added in _extensions(parent, _box_symmetries(parent, enc)):
-                        if _greatest_profile(cells, added):
-                            keys.add(_LeastEncoding(cells).blob())
+                keys = _level_keys(_species_levels[-1])
                 level = [SpeciesKey(b).to_pls() for b in sorted(keys)]
             _species_levels.append(level)
     return _species_levels[m - 1]
+
+
+def _share_keys(parents: Sequence[PLS]) -> set[bytes]:
+    """Keys of the kept children of `parents`."""
+    # keys skip _canonical_blob's process-wide cache: enumeration meets almost
+    # every child only once
+    keys: set[bytes] = set()
+    for parent in parents:
+        enc = _LeastEncoding(parent.triples)
+        for cells, added in _extensions(parent, _box_symmetries(parent, enc)):
+            if _greatest_profile(cells, added):
+                keys.add(_LeastEncoding(cells).blob())
+    return keys
+
+
+def _workers(parents: int) -> int:
+    """Processes for a level: one per CPU, and only the caller where it
+    cannot fork or has other threads (a fork copies no thread but its own)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, parents)
+
+
+def _level_keys(parents: Sequence[PLS]) -> set[bytes]:
+    """Keys of the kept children of `parents`, one forked process per share.
+
+    Share w is ``parents[w::workers]``; the caller computes share 0.  Every
+    child is reaped before this returns or raises, and a child that fails
+    raises RuntimeError here.
+    """
+    workers = _workers(len(parents))
+    children: list[tuple[int, int]] = []  # pid, read end of its pipe
+    keys: Optional[set[bytes]] = None
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                os.close(r)
+                _run_share(parents[w::workers], wr)
+            os.close(wr)
+            children.append((pid, r))
+        keys = _share_keys(parents[::workers])
+    finally:
+        replies = []
+        for pid, r in children:
+            if keys is None:
+                os.kill(pid, signal.SIGKILL)
+            with open(r, "rb") as pipe:
+                data = pipe.read()
+            replies.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
+    for status, _ in replies:
+        if status:
+            raise RuntimeError(f"a species enumeration worker exited with status {status}")
+    for _, data in replies:
+        share, runs = marshal.loads(data)
+        keys.update(share)
+        _LeastEncoding.runs += runs
+    return keys
+
+
+def _run_share(parents: Sequence[PLS], fd: int) -> None:
+    """In a forked child: write the share's keys and key count to `fd`, exit.
+
+    A child that fails writes nothing and exits with status 1.
+    """
+    status = 1
+    try:
+        runs = _LeastEncoding.runs
+        keys = _share_keys(parents)
+        with open(fd, "wb") as pipe:
+            pipe.write(marshal.dumps((list(keys), _LeastEncoding.runs - runs)))
+        status = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(status)
 
 
 class _BoxSymmetry(NamedTuple):
@@ -610,11 +705,21 @@ def _box_symmetries(p: PLS, enc: _LeastEncoding) -> list[_BoxSymmetry]:
 
 
 def _extensions(p: PLS, symmetries: Sequence[_BoxSymmetry] = ()):
-    """Each (cells, added): p plus one triple in its bounding box grown by one.
+    """Each (cells, added): p plus one triple in its bounding box grown by one
+    whose profile reaches p's greatest profile.
 
-    With `symmetries`, only the first triple of each orbit of the group they
-    generate is added.
+    Adding a triple only raises line degrees, so each triple of p keeps at
+    least its profile in p, and an added triple below p's greatest profile
+    never has the greatest profile of the child.  The bound is invariant
+    under p's symmetries.  With `symmetries`, only the first triple of each
+    orbit of the group they generate is added.
     """
+    deg = [[0] * (k + 2) for k in (p.n_rows, p.n_cols, p.n_syms)]
+    for t in p.triples:
+        for k in range(3):
+            deg[k][t[k]] += 1
+    d0, d1, d2 = deg
+    top = max(sorted((d0[r], d1[c], d2[s])) for r, c, s in p.triples)
     by_rc = {(t.row, t.col) for t in p.triples}
     by_rs = {(t.row, t.sym) for t in p.triples}
     by_cs = {(t.col, t.sym) for t in p.triples}
@@ -624,7 +729,9 @@ def _extensions(p: PLS, symmetries: Sequence[_BoxSymmetry] = ()):
         for c in range(1, p.n_cols + 2)
         if (r, c) not in by_rc
         for s in range(1, p.n_syms + 2)
-        if (r, s) not in by_rs and (c, s) not in by_cs
+        if (r, s) not in by_rs
+        and (c, s) not in by_cs
+        and sorted((d0[r] + 1, d1[c] + 1, d2[s] + 1)) >= top
     ]
     if symmetries:
         # union-find whose roots are the least index of their class

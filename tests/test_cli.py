@@ -74,6 +74,18 @@ class TestEmbed:
         assert code == 0
         assert "not embeddable" in out
 
+    def test_exhausted_search_budget_exits_4(self, capsys, tmp_path, monkeypatch):
+        from cayley_embed import SearchLimitExceeded, cli
+
+        def exhausted(*args, **kwargs):
+            raise SearchLimitExceeded("embedding search exceeded 10 nodes")
+
+        monkeypatch.setattr(cli, "find_embedding", exhausted)
+        path = tmp_path / "single.pls"
+        path.write_text("1 1 1\n")
+        code, err = run_error(capsys, "embed", "--pls", str(path), "--group", "cyclic:5")
+        assert code == 4 and "search budget exhausted" in err
+
     def test_count(self, capsys, tmp_path):
         path = tmp_path / "single.pls"
         path.write_text("1 1 1\n")

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import threading
 from itertools import combinations, permutations, product
 
 import pytest
@@ -33,7 +35,7 @@ from cayley_embed import (
     sub_species_contains,
     validate_pls,
 )
-from cayley_embed.pls import _box_symmetries, _extensions, _LeastEncoding
+from cayley_embed.pls import _box_symmetries, _extensions, _greatest_profile, _LeastEncoding
 from cayley_embed.verify import random_pls, scramble
 
 
@@ -243,6 +245,93 @@ class TestEnumeration:
             assert _LeastEncoding.runs - runs == 3420
         finally:
             pls._species_levels[:] = saved
+
+    def test_profile_bound_keeps_every_kept_child(self):
+        # _extensions drops box triples below the parent's greatest profile;
+        # none of them would have the greatest profile of its child
+        dropped = 0
+        for reps in enumerate_species(5).values():
+            for p in reps:
+                box = [
+                    (r, c, s)
+                    for r in range(1, p.n_rows + 2)
+                    for c in range(1, p.n_cols + 2)
+                    for s in range(1, p.n_syms + 2)
+                ]
+                kept = set()
+                for t in box:
+                    cells = tuple(sorted(p.triples + (t,)))
+                    try:
+                        validate_pls(cells)
+                    except LatinConflict:
+                        continue
+                    if _greatest_profile(cells, t):
+                        kept.add(t)
+                offered = {t for _, t in _extensions(p)}
+                assert kept <= offered
+                dropped += len(box) - len(offered)
+        assert dropped
+
+    def _build(self, monkeypatch, cpus, top):
+        """Levels 1..top built afresh as if `cpus` CPUs were free, the keys
+        computed, and the number of forks."""
+        from cayley_embed import pls
+
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", counted_fork)
+        saved = list(pls._species_levels)
+        pls._species_levels.clear()
+        try:
+            runs = _LeastEncoding.runs
+            levels = enumerate_species(top)
+            return levels, _LeastEncoding.runs - runs, len(forks)
+        finally:
+            pls._species_levels[:] = saved
+
+    def test_forked_build_matches_one_process(self, monkeypatch):
+        assert threading.active_count() == 1
+        one, one_runs, one_forks = self._build(monkeypatch, 1, 6)
+        three, three_runs, three_forks = self._build(monkeypatch, 3, 6)
+        assert one == three
+        assert one_runs == three_runs
+        # levels of 2, 5, 18 and 59 parents fork 1, 2, 2 and 2 children
+        assert (one_forks, three_forks) == (0, 7)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_failed_share_raises_and_leaves_no_child(self, monkeypatch, where):
+        from cayley_embed import pls
+
+        caller = os.getpid()
+        share_keys = pls._share_keys
+        enumerate_species(3)
+
+        def failing(parents):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise ZeroDivisionError("planted")
+            return share_keys(parents)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(pls, "_share_keys", failing)
+        saved = list(pls._species_levels)
+        pls._species_levels[:] = saved[:3]
+        try:
+            expected = RuntimeError if where == "child" else ZeroDivisionError
+            with pytest.raises(expected, match="status 1" if where == "child" else "planted"):
+                enumerate_species(5)
+            assert pls._species_levels == saved[:3]
+        finally:
+            pls._species_levels[:] = saved
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
