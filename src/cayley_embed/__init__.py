@@ -31,6 +31,7 @@ from .groups import (
     abelian,
     abelian_groups_of_order,
     abelian_invariant_factor_lists,
+    automorphism_orbits,
     cyclic,
     dicyclic,
     dihedral,
@@ -40,6 +41,7 @@ from .groups import (
     group_from_table,
     groups_of_order,
     isomorphic,
+    isomorphisms,
     opposite,
     parse_group_file,
     parse_group_spec,

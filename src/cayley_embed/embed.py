@@ -11,6 +11,16 @@ the square and on whether the first row and column are pinned, not on the
 search path, so each step's case (check, force one image, or branch one or
 two and force the rest) is fixed in a step plan, built once per square and
 process.
+
+A decision search with the pin breaks the symmetry of the group at its first
+branch (Gent, Petrie and Puget, "Symmetry in constraint programming", 2006).
+Every image set before that step is the identity, which each automorphism phi
+of G fixes, and (phi, phi, phi) maps embeddings onto embeddings.  So the first
+branch tries only the least element of each Aut(G)-orbit
+(``Group.orbit_minima``).  A value that leads to an embedding takes the least
+of its orbit with it, which is tried first, so the verdict and the first
+witness are those of the full search; only refuted values are skipped.
+Counting searches branch over every element.
 """
 
 from __future__ import annotations
@@ -125,9 +135,10 @@ _FORCE_R, _BRANCH_R, _BRANCH_R_VIA_S, _BRANCH_RC = 3, 2, 1, 0
 
 
 @lru_cache(maxsize=1 << 16)
-def _search_plan(triples: tuple[Triple, ...], pin: bool) -> tuple[tuple, tuple]:
-    """The steps (case, row slot, col slot, sym slot), one per triple, and
-    each slot's line as (coordinate, label).
+def _search_plan(triples: tuple[Triple, ...], pin: bool) -> tuple[tuple, tuple, int]:
+    """The steps (case, row slot, col slot, sym slot), one per triple, each
+    slot's line as (coordinate, label), and the index of the first step that
+    branches (-1 if none does).
 
     Triples go in connectivity order: the least first, then always the first
     that shares the most lines with those before it.  A slot is a line's
@@ -146,7 +157,9 @@ def _search_plan(triples: tuple[Triple, ...], pin: bool) -> tuple[tuple, tuple]:
                 case |= 4 >> k
             slots.setdefault((k, t[k]), len(slots))
         steps.append((case, slots[0, t.row], slots[1, t.col], slots[2, t.sym]))
-    return tuple(steps), tuple(slots)
+    branches = (_BRANCH_C, _BRANCH_R, _BRANCH_R_VIA_S, _BRANCH_RC)
+    first = next((i for i, step in enumerate(steps) if step[0] in branches), -1)
+    return tuple(steps), tuple(slots), first
 
 
 @dataclass
@@ -164,9 +177,13 @@ class _Searcher:
     witness: Optional[EmbeddingWitness] = field(default=None, init=False)
 
     def run(self, count_all: bool) -> int:
-        steps, lines = _search_plan(self.p.triples, self.pin)
+        steps, lines, first_branch = _search_plan(self.p.triples, self.pin)
         depth = len(steps)
         n, table, inv = self.g.order, self.g.table, self.g.inverse
+        every = range(n)
+        # the values of step `first_branch`: one per Aut(g)-orbit when deciding
+        # with the pin
+        firsts = self.g.orbit_minima if self.pin and not count_all else every
         # a step reads only slots that earlier steps on the current path set,
         # so backtracking clears the used flags and may leave the images
         img = [-1] * len(lines)
@@ -203,7 +220,7 @@ class _Searcher:
                     raise SearchLimitExceeded(f"embedding search exceeded {limit} nodes")
                 return 0
             else:
-                return branch(case, nxt, a, b, c)
+                return branch(case, nxt, a, b, c, firsts if i == first_branch else every)
             # the one open image is forced to y
             if y_used[y]:
                 return 0
@@ -213,11 +230,11 @@ class _Searcher:
             y_used[y] = False
             return got
 
-        def branch(case: int, nxt: int, a: int, b: int, c: int) -> int:
+        def branch(case: int, nxt: int, a: int, b: int, c: int, values) -> int:
             total = 0
             if case == _BRANCH_C:  # branch column, force symbol
                 row = table[img[a]]
-                for col in range(n):
+                for col in values:
                     s = row[col]
                     if col_used[col] or sym_used[s]:
                         continue
@@ -229,7 +246,7 @@ class _Searcher:
                         break
             elif case == _BRANCH_R:  # branch row, force symbol
                 gc = img[b]
-                for r in range(n):
+                for r in values:
                     s = table[r][gc]
                     if row_used[r] or sym_used[s]:
                         continue
@@ -241,7 +258,7 @@ class _Searcher:
                         break
             elif case == _BRANCH_R_VIA_S:  # branch row, force column
                 gs = img[c]
-                for r in range(n):
+                for r in values:
                     col = table[inv[r]][gs]
                     if row_used[r] or col_used[col]:
                         continue
@@ -252,12 +269,12 @@ class _Searcher:
                     if total and not count_all:
                         break
             else:  # branch row, then column and symbol as _BRANCH_C
-                for r in range(n):
+                for r in values:
                     if row_used[r]:
                         continue
                     img[a] = r
                     row_used[r] = True
-                    total += branch(_BRANCH_C, nxt, a, b, c)
+                    total += branch(_BRANCH_C, nxt, a, b, c, every)
                     row_used[r] = False
                     if total and not count_all:
                         break

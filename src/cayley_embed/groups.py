@@ -7,13 +7,20 @@ profits from O(1) lookups.
 Dihedral naming: ``dihedral(k)`` is the symmetry group of the k-gon and has
 order 2k; catalogue labels carry the order ("D6" is the order-6 dihedral
 group, i.e. ``dihedral(3)``).
+
+One backtracking engine, ``isomorphisms``, finds isomorphisms between two
+groups through the images of a generating sequence.  ``isomorphic`` asks it
+for one, and ``automorphism_orbits`` builds a strong generating set of
+Aut(G) from it (Sims, 1970) without listing the group, which gives |Aut(G)|
+and the orbits of Aut(G) on the elements.  ``Group.orbit_minima``, built
+once per group object, is what the embedding search reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, reduce
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .pls import ParameterOutOfRange
 
@@ -59,6 +66,14 @@ class Group:
 
     def __str__(self) -> str:
         return f"{self.name} (order {self.order})"
+
+    @cached_property
+    def orbit_minima(self) -> tuple[int, ...]:
+        """The least element of each Aut(G)-orbit on the elements, increasing.
+
+        Built on first use, once per group object."""
+        _, least = automorphism_orbits(self)
+        return tuple(x for x in range(self.order) if least[x] == x)
 
 
 def group_from_table(table: Iterable[Sequence[int]], name: str = "") -> Group:
@@ -298,8 +313,8 @@ def opposite(g: Group) -> Group:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism testing: invariant screen, then backtracking over generator
-# images with a full homomorphism verification before accepting.
+# Isomorphisms and automorphisms: one backtracking search over generator
+# images behind an invariant screen.
 
 
 def _center(g: Group) -> list[int]:
@@ -358,6 +373,37 @@ def _extend_map(g: Group, h: Group, gens: Sequence[int], images: Sequence[int]) 
     return mapping
 
 
+def isomorphisms(g: Group, h: Group, images: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+    """Each isomorphism g -> h once, as the tuple of the images of 0..n-1.
+
+    The search assigns images to `_generating_sequence(g)` in turn, starting
+    from `images` (at most one per generator) and then trying the elements
+    of h of the generator's order.  `_extend_map` checks
+    phi(x * b) = phi(x) * phi(b) for every x and every assigned generator b,
+    so a map it completes on all of g is an injective homomorphism, and an
+    isomorphism when |g| = |h|.
+    """
+    if g.order != h.order:
+        return
+    gens = _generating_sequence(g)
+    by_order: dict[int, list[int]] = {}
+    for x in range(h.order):
+        by_order.setdefault(h.element_orders[x], []).append(x)
+
+    def search(fixed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        i = len(fixed)
+        phi = _extend_map(g, h, gens[:i], fixed)
+        if phi is None:
+            return
+        if i == len(gens):
+            yield tuple(phi[x] for x in range(g.order))
+            return
+        for cand in by_order.get(g.element_orders[gens[i]], []):
+            yield from search(fixed + (cand,))
+
+    yield from search(tuple(images))
+
+
 def isomorphic(g: Group, h: Group) -> bool:
     if g.order != h.order:
         return False
@@ -370,32 +416,55 @@ def isomorphic(g: Group, h: Group) -> bool:
         return False
     if sorted(g.element_orders[x] for x in zg) != sorted(h.element_orders[x] for x in zh):
         return False
+    return next(isomorphisms(g, h), None) is not None
+
+
+def _orbit(x: int, perms: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of x under the group the permutations generate."""
+    orbit = {x}
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        for perm in perms:
+            z = perm[y]
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+    return orbit
+
+
+def automorphism_orbits(g: Group) -> tuple[int, tuple[int, ...]]:
+    """|Aut(g)| and the least element of each element's Aut(g)-orbit.
+
+    A strong generating set along the generating sequence b_1..b_k, never the
+    whole group (Sims, 1970).  From b_k back to b_1, each candidate c of b_i's
+    order outside b_i's orbit under the automorphisms kept so far (all of
+    which fix b_1..b_{i-1}) gets the first automorphism of
+    ``isomorphisms(g, g, (b_1, ..., b_{i-1}, c))``, if there is one.  Each
+    orbit is then the whole orbit of b_i under the stabiliser of
+    b_1..b_{i-1}, so |Aut(g)| is the product of their lengths and the kept
+    automorphisms generate Aut(g).
+    """
+    n = g.order
     gens = _generating_sequence(g)
-    by_order: dict[int, list[int]] = {}
-    for x in range(h.order):
-        by_order.setdefault(h.element_orders[x], []).append(x)
-
-    def search(images: list[int]) -> bool:
-        i = len(images)
-        phi = _extend_map(g, h, gens[:i], images)
-        if phi is None:
-            return False
-        if i == len(gens):
-            # gens generate g, so phi is a bijection; check it is a homomorphism
-            n = g.order
-            return all(
-                phi[g.table[a][b]] == h.table[phi[a]][phi[b]]
-                for a in range(n)
-                for b in range(n)
-            )
-        for cand in by_order.get(g.element_orders[gens[i]], []):
-            images.append(cand)
-            if search(images):
-                return True
-            images.pop()
-        return False
-
-    return search([])
+    kept: list[tuple[int, ...]] = []
+    size = 1
+    for i in reversed(range(len(gens))):
+        b = gens[i]
+        orbit = _orbit(b, kept)
+        for c in range(n):
+            if c not in orbit and g.element_orders[c] == g.element_orders[b]:
+                phi = next(isomorphisms(g, g, (*gens[:i], c)), None)
+                if phi is not None:
+                    kept.append(phi)
+                    orbit = _orbit(b, kept)
+        size *= len(orbit)
+    least = [-1] * n
+    for x in range(n):
+        if least[x] < 0:
+            for y in _orbit(x, kept):
+                least[y] = x
+    return size, tuple(least)
 
 
 # ---------------------------------------------------------------------------

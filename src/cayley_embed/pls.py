@@ -575,9 +575,16 @@ def _species_level(m: int) -> list[PLS]:
                 level = [validate_pls([(1, 1, 1)])]
             else:
                 keys = _level_keys(_species_levels[-1])
-                level = [SpeciesKey(b).to_pls() for b in sorted(keys)]
+                level = [_decode(b) for b in sorted(keys)]
             _species_levels.append(level)
     return _species_levels[m - 1]
+
+
+def _decode(blob: bytes) -> PLS:
+    """The square of a species key, which is already dense and sorted: what
+    `SpeciesKey.to_pls` returns, without its validation."""
+    triples = tuple(Triple(*blob[i : i + 3]) for i in range(0, len(blob), 3))
+    return PLS(triples, *(max(t[k] for t in triples) for k in range(3)))
 
 
 def _share_keys(parents: Sequence[PLS]) -> set[bytes]:
@@ -686,10 +693,16 @@ class _BoxSymmetry(NamedTuple):
 
 
 def _box_symmetries(p: PLS, enc: _LeastEncoding) -> list[_BoxSymmetry]:
-    """The symmetries of p that its key search found, on the grown box.
+    """The symmetries of p that its key search found, and the swaps of its
+    pendant cells, on the grown box.
 
     The new line of each coordinate goes to the new line of the image
-    coordinate.
+    coordinate.  A cell is pendant on one of its lines when its other two
+    lines hold nothing else; swapping those other lines between two pendant
+    cells of one line is an autotopism.  The key search puts the pendant
+    cells of a row in one block and never orders them, so it never reports
+    these swaps; the swaps of neighbours in each line's list are added, in
+    all three roles, and generate every order of its pendant cells.
     """
     w = enc.width
     counts = (p.n_rows, p.n_cols, p.n_syms)
@@ -701,6 +714,21 @@ def _box_symmetries(p: PLS, enc: _LeastEncoding) -> list[_BoxSymmetry]:
             for k in range(3)
         )
         out.append(_BoxSymmetry(to, maps))
+    deg = [[0] * (m + 1) for m in counts]
+    for t in p.triples:
+        for k in range(3):
+            deg[k][t[k]] += 1
+    for k, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        pendant: dict[int, list[Triple]] = {}
+        for t in p.triples:
+            if deg[i][t[i]] == deg[j][t[j]] == 1:
+                pendant.setdefault(t[k], []).append(t)
+        for cells in pendant.values():
+            for t, u in zip(cells, cells[1:]):
+                maps = tuple(list(range(m + 2)) for m in counts)
+                maps[i][t[i]], maps[i][u[i]] = u[i], t[i]
+                maps[j][t[j]], maps[j][u[j]] = u[j], t[j]
+                out.append(_BoxSymmetry((0, 1, 2), maps))
     return out
 
 

@@ -368,33 +368,55 @@ class TestVerdictShape:
             embed_diagonal_partition(cyclic(6), [1] * 6, node_limit=10)
 
 
+def _search_digest(cases):
+    """SHA-256 over the verdict, first witness and node count of each
+    (p, g, pin, count_all) search, and the searchers themselves."""
+    digest = hashlib.sha256()
+    searchers = []
+    for p, g, pin, count_all in cases:
+        s = _Searcher(p, g, pin=pin)
+        got = s.run(count_all=count_all)
+        w = None if s.witness is None else s.witness.to_json()
+        digest.update(json.dumps([got, w, s.nodes], sort_keys=True).encode())
+        searchers.append((p, g, got, s))
+    return digest.hexdigest(), searchers
+
+
 class TestSearchKernel:
-    def test_search_grid_is_pinned(self, small_catalogue):
-        # verdict, first witness and node count of the search over a fixed
-        # grid: counting every species of size <= 4 in every group of order
-        # <= 8, unpinned and pinned, then deciding every size-6 species in
-        # every group of order 6-12 the way find_embedding searches it
-        digest = hashlib.sha256()
-
-        def record(p, g, pin, count_all):
-            s = _Searcher(p, g, pin=pin)
-            got = s.run(count_all=count_all)
-            w = None if s.witness is None else s.witness.to_json()
-            digest.update(json.dumps([got, w, s.nodes], sort_keys=True).encode())
-
-        species = enumerate_species(6)
-        for size in range(1, 5):
-            for p in species[size]:
-                for g in small_catalogue:
-                    for pin in (False, True):
-                        record(p, g, pin, True)
-        for n in range(6, 13):
-            for g in groups_of_order(n):
-                for p in species[6]:
-                    record(p, g, True, False)
-        assert digest.hexdigest() == (
-            "61bfb71149a4501e4ceec5e24e690b6b8bf4f98cb8788b21b598f8458f6c110f"
+    def test_counting_grid_is_pinned(self, small_catalogue):
+        # counting every species of size <= 4 in every group of order <= 8,
+        # unpinned and pinned: counting branches over every element
+        species = enumerate_species(4)
+        cases = [
+            (p, g, pin, True)
+            for size in range(1, 5)
+            for p in species[size]
+            for g in small_catalogue
+            for pin in (False, True)
+        ]
+        assert _search_digest(cases)[0] == (
+            "1d515664412ff3686460e98e8a2e68617e4db6ce00f2ad6a4aab936f0d939eb1"
         )
+
+    def test_decision_grid_is_pinned(self):
+        # deciding every size-6 species in every group of order 6-12 the way
+        # find_embedding searches it, one first branch per Aut(G)-orbit
+        species = enumerate_species(6)[6]
+        cases = [
+            (p, g, True, False) for n in range(6, 13) for g in groups_of_order(n) for p in species
+        ]
+        digest, searchers = _search_digest(cases)
+        assert digest == "27d3b3fc9aee937a2ff6a3c402023270117671182db9320735fdfe5e1fc74c56"
+        # a witness is a pinned embedding, so it shows the pinned count is
+        # positive; a refutation must agree with the full pinned count
+        for p, g, got, s in searchers:
+            if got:
+                first = p.triples[0]
+                w = s.witness
+                assert verify_witness(p, g, w)
+                assert w.row_map[first.row] == w.col_map[first.col] == 0
+            else:
+                assert count_embeddings_pinned(p, g) == 0, (g.name, p.triples)
 
     def test_node_limit_boundary_on_refutation(self):
         # nonab embeds in no group of order 6 but D6: in Z6 every entry point

@@ -210,18 +210,21 @@ class TestEnumeration:
 
     def test_pruning_symmetries_are_symmetries(self, rng):
         # enumeration extends a parent once per orbit of the autotopisms and
-        # autoparatopisms its key search records; each must map the square
-        # onto itself and its grown box onto itself, new lines onto new lines
-        found = {"autos": 0, "paras": 0}
+        # autoparatopisms its key search records, and of the swaps of its
+        # pendant cells; each must map the square onto itself and its grown
+        # box onto itself, new lines onto new lines
+        found = {"autos": 0, "paras": 0, "swaps": 0}
         for reps in enumerate_species(6).values():
             for rep in reps:
                 for p in [rep, scramble(rng, rep), scramble(rng, rep)]:
                     enc = _LeastEncoding(p.triples)
+                    symmetries = _box_symmetries(p, enc)
                     found["autos"] += len(enc.autos)
                     found["paras"] += len(enc.paras)
+                    found["swaps"] += len(symmetries) - len(enc.autos) - len(enc.paras)
                     counts = (p.n_rows, p.n_cols, p.n_syms)
                     added = {t for _, t in _extensions(p)}
-                    for g in _box_symmetries(p, enc):
+                    for g in symmetries:
                         assert sorted(g.to) == [0, 1, 2]
                         for k in range(3):
                             image = counts[g.to[k]]
@@ -229,12 +232,21 @@ class TestEnumeration:
                             assert g.maps[k][counts[k] + 1] == image + 1
                         assert {g.image(t) for t in p.triples} == set(p.triples)
                         assert {g.image(t) for t in added} == added
-        assert found["autos"] and found["paras"]
+        assert found["autos"] and found["paras"] and found["swaps"]
+
+    def test_levels_decode_as_to_pls(self):
+        # a level decodes its keys without validation; every representative
+        # must be what SpeciesKey.to_pls makes of its key
+        for reps in enumerate_species(7).values():
+            for p in reps:
+                assert p == SpeciesKey(bytes(x for t in p.triples for x in t)).to_pls()
 
     def test_cold_enumeration_key_count(self):
         # a child is keyed only when its added triple has the greatest
-        # profile, and no deletion is keyed; the saved levels go back so that
-        # later tests keep the representatives that screening caches
+        # profile, and no deletion is keyed, and a parent is extended once
+        # per orbit of the symmetries its key search finds and the swaps of
+        # its pendant cells; the saved levels go back so that later tests
+        # keep the representatives that screening caches
         from cayley_embed import pls
 
         saved = list(pls._species_levels)
@@ -242,7 +254,7 @@ class TestEnumeration:
         try:
             runs = _LeastEncoding.runs
             enumerate_species(7)
-            assert _LeastEncoding.runs - runs == 3420
+            assert _LeastEncoding.runs - runs == 2896
         finally:
             pls._species_levels[:] = saved
 
