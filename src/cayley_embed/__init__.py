@@ -15,6 +15,7 @@ from .embed import (
     count_embeddings,
     count_embeddings_pinned,
     embed_diagonal_partition,
+    embeds,
     find_embedding,
     quadrangle_violation,
     transversal_bound,

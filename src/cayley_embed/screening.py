@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .embed import find_embedding, quadrangle_violation, transversal_fast_path
+from .embed import embeds, quadrangle_violation, transversal_fast_path
 from .groups import (
     MAX_CATALOGUE_ORDER,
     Group,
@@ -249,7 +249,9 @@ def _records(size: int) -> tuple[_Record, ...]:
             rep,
             bytes(x for t in rep.triples for x in t),  # its own least encoding
             is_t_species(rep),
-            min((step.threshold for step in _plan(rep)), default=None),
+            # uncached: psi reads only `least`, and reducible builds a plan
+            # when it is asked for a certificate
+            min((step.threshold for step in _plan.__wrapped__(rep)), default=None),
             row_cycle_length(rep),
         )
         for rep in enumerate_species(size)[size]
@@ -365,20 +367,29 @@ def default_group_class(n: int, variant: str) -> list[Group]:
     return list(_group_class(n, variant))
 
 
+# One object per group across the classes of an order, so that what a group
+# caches on itself (its orbit minima) is built once per process.
+_hosts: dict[Group, Group] = {}
+
+
 @lru_cache(maxsize=128)
 def _group_class(n: int, variant: str) -> tuple[Group, ...]:
+    return tuple(_hosts.setdefault(g, g) for g in _build_class(n, variant))
+
+
+def _build_class(n: int, variant: str) -> list[Group]:
     if variant == "group":
         try:
-            return tuple(groups_of_order(n))
+            return groups_of_order(n)
         except OrderUnsupported as exc:
             raise IncompleteClass(
                 f"no built-in complete catalogue for order {n}; "
                 "supply the full class explicitly"
             ) from exc
     if variant == "abelian":
-        return tuple(abelian_groups_of_order(n))
+        return abelian_groups_of_order(n)
     if variant == "cyclic":
-        return (cyclic(n),)
+        return [cyclic(n)]
     raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
@@ -387,7 +398,7 @@ def _embeds_in_some(rec: _Record, groups: Sequence[Group]) -> bool:
     if _quadrangle_image(rec.rep) is not None:
         return False
     return any(
-        find_embedding(rec.rep, g).embeddable
+        embeds(rec.rep, g)
         for g in groups
         if rec.cycle is None or g.order % rec.cycle == 0
     )

@@ -16,6 +16,7 @@ from typing import Callable
 
 from .embed import (
     embed_diagonal_partition,
+    embeds,
     find_embedding,
     transversal_bound,
     verify_witness,
@@ -174,12 +175,12 @@ def check_obstacle_sets(quick: bool = False, seed: int = 0) -> CriterionResult:
         # order-30 catalogue is out of scope; verify the order-4-forcing square
         # directly: embeds in Z4, fails every catalogue group of order 2 mod 4
         o4 = fx["order4"]
-        res.add("order4 embeds in Z4", find_embedding(o4, cyclic(4)).embeddable)
+        res.add("order4 embeds in Z4", embeds(o4, cyclic(4)))
         bad = [
             g.name
             for n in (2, 6, 10, 14)
             for g in groups_of_order(n)
-            if find_embedding(o4, g).embeddable
+            if embeds(o4, g)
         ]
         res.add("order4 fails at orders 2 mod 4", not bad, f"embedded in {bad}")
     evens = (8,) if quick else (8, 10, 14, 16)
@@ -226,7 +227,7 @@ def check_screening_counts(quick: bool = False, seed: int = 0) -> CriterionResul
     res.add("screen(7,12) count", len(s712) == 50, f"got {len(s712)}, want 50")
     z6 = cyclic(6)
     reps = [k.to_pls() for k in s712]
-    in_z6 = [find_embedding(rep, z6).embeddable for rep in reps]
+    in_z6 = [embeds(rep, z6) for rep in reps]
     res.add("42 of them embed in Z6", sum(in_z6) == 42, f"got {sum(in_z6)}")
     omega = [rep for rep, ok in zip(reps, in_z6) if not ok]
     res.add("|Omega| = 8", len(omega) == 8, f"got {len(omega)}")
@@ -284,7 +285,7 @@ def check_explicit_witnesses(quick: bool = False, seed: int = 0) -> CriterionRes
         "overlapinterc in Z2xZ2",
         v.embeddable and v.witness is not None and verify_witness(ov, klein, v.witness),
     )
-    hits = [n for n in range(1, top + 1) if find_embedding(ov, cyclic(n)).embeddable]
+    hits = [n for n in range(1, top + 1) if embeds(ov, cyclic(n))]
     res.add(f"overlapinterc in no Z_n, n<={top}", not hits, f"embedded at {hits}")
     return res
 
@@ -298,10 +299,10 @@ def check_transversal_bound(quick: bool = False, seed: int = 0) -> CriterionResu
             bad = []
             for t in range(1, bound + 1):
                 d = gen_diagonal(t)
-                fast = find_embedding(d, g)
+                fast = embeds(d, g)
                 checked = find_embedding(d, g, paranoid=True)
                 if not (
-                    fast.embeddable
+                    fast
                     and checked.embeddable
                     and checked.witness is not None
                     and verify_witness(d, g, checked.witness)
@@ -310,8 +311,8 @@ def check_transversal_bound(quick: bool = False, seed: int = 0) -> CriterionResu
             res.add(f"T_t in {g.name} for t<={bound}", not bad, f"failed at t={bad}")
     for n in (2, 6) if quick else (2, 6, 10):
         for g in groups_of_order(n):
-            v = find_embedding(gen_diagonal(n), g, paranoid=True)
-            res.add(f"T_{n} has no embedding in {g.name}", not v.embeddable)
+            # a negative verdict is always an exhausted search
+            res.add(f"T_{n} has no embedding in {g.name}", not embeds(gen_diagonal(n), g))
     return res
 
 
@@ -403,10 +404,10 @@ def _suite_reduction_soundness(res: CriterionResult, quick: bool) -> None:
                 if cert is None:
                     continue
                 for g in groups_of_order(n):
-                    if cert.reduced is not None and not find_embedding(cert.reduced, g).embeddable:
+                    if cert.reduced is not None and not embeds(cert.reduced, g):
                         continue
                     checked += 1
-                    if not find_embedding(rep, g).embeddable:
+                    if not embeds(rep, g):
                         bad.append((size, n, g.name))
     res.add(
         "reduction soundness (exhaustive, sizes<=5)",
@@ -454,7 +455,7 @@ def _suite_species_invariance(res: CriterionResult, rng: random.Random, quick: b
         p = pool[rng.randrange(len(pool))]
         q = scramble(rng, p)
         for g in groups:
-            if find_embedding(p, g).embeddable != find_embedding(q, g).embeddable:
+            if embeds(p, g) != embeds(q, g):
                 bad.append((p.size, g.name))
     res.add("same-species squares embed alike", not bad, f"failures {bad[:3]}")
 
@@ -468,7 +469,7 @@ def _suite_row_cycle_law(res: CriterionResult, quick: bool) -> None:
         for n in range(1, top_order + 1):
             for g in groups_of_order(n):
                 expect = length in g.element_orders
-                got = find_embedding(p, g).embeddable
+                got = embeds(p, g)
                 if got != expect:
                     bad.append((length, g.name))
     res.add(

@@ -20,6 +20,7 @@ from cayley_embed import (
     cyclic,
     dihedral,
     embed_diagonal_partition,
+    embeds,
     enumerate_species,
     find_embedding,
     fixtures,
@@ -27,6 +28,7 @@ from cayley_embed import (
     gen_row_cycle,
     group_from_table,
     groups_of_order,
+    is_t_species,
     nonab_dihedral_witness,
     opposite,
     parastrophe,
@@ -418,12 +420,37 @@ class TestSearchKernel:
             else:
                 assert count_embeddings_pinned(p, g) == 0, (g.name, p.triples)
 
+    def test_verdict_only_entry_on_decision_grid(self):
+        # embeds gives find_embedding's verdict on the decision grid, from the
+        # same search: a limit of exactly its nodes passes and one below raises
+        species = enumerate_species(6)[6]
+        for n in range(6, 13):
+            for g in groups_of_order(n):
+                for p in species:
+                    got = embeds(p, g)
+                    assert got == find_embedding(p, g).embeddable, (g.name, p.triples)
+                    if got:
+                        # every embedding normalises to a pinned one, so a
+                        # witness shows that the pinned count is positive
+                        w = find_embedding(p, g, paranoid=True).witness
+                        assert verify_witness(p, g, w)
+                    else:
+                        assert count_embeddings_pinned(p, g) == 0, (g.name, p.triples)
+                    if is_t_species(p):
+                        continue
+                    s = _Searcher(p, g, pin=True)
+                    s.run(count_all=False)
+                    assert embeds(p, g, node_limit=s.nodes) == got
+                    with pytest.raises(SearchLimitExceeded):
+                        embeds(p, g, node_limit=s.nodes - 1)
+
     def test_node_limit_boundary_on_refutation(self):
         # nonab embeds in no group of order 6 but D6: in Z6 every entry point
         # searches to exhaustion, and a limit of exactly the nodes used passes
         p, g = fixtures()["nonab"], cyclic(6)
         for run, pin, count_all in (
             (find_embedding, True, False),
+            (embeds, True, False),
             (count_embeddings, False, True),
             (count_embeddings_pinned, True, True),
         ):
@@ -442,7 +469,7 @@ class TestSearchKernel:
         p = scramble(rng, data.draw(st.sampled_from(reps)))
         g = data.draw(st.sampled_from(small_catalogue))
         v = find_embedding(p, g)
-        assert v.embeddable == (count_embeddings_pinned(p, g) > 0)
+        assert v.embeddable == embeds(p, g) == (count_embeddings_pinned(p, g) > 0)
         for w in (v.witness, find_embedding(p, g, paranoid=True).witness):
             if w is not None:
                 assert verify_witness(p, g, w)

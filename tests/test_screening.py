@@ -228,6 +228,19 @@ class TestPsi:
             assert [g.name for g in again] == names
             assert all(a is b for a, b in zip(again, default_group_class(12, variant)))
 
+    def test_classes_share_group_objects(self):
+        # the group, abelian and cyclic classes of an order hand out one
+        # object per group, so each group builds its orbit minima once
+        from cayley_embed.screening import default_group_class
+
+        jobs = [(n, "group") for n in range(1, 17)]
+        jobs += [(n, v) for n in range(1, 25) for v in ("abelian", "cyclic")]
+        objects = {id(g): g for job in jobs for g in default_group_class(*job)}
+        assert len(objects) == len(set(objects.values())) == 54
+        for n in range(1, 25):
+            z = default_group_class(n, "cyclic")[0]
+            assert any(g is z for g in default_group_class(n, "abelian"))
+
     def test_json_schema(self):
         payload = psi(5, "cyclic").to_json()
         jsonschema.validate(payload, PSI_RESULT_SCHEMA)
@@ -290,6 +303,20 @@ class TestPsi:
         for size in range(1, 8):
             screening._records(size)
         assert pls._LeastEncoding.runs - runs <= 2
+
+    def test_cold_records_cache_no_plans(self):
+        # a record keeps only the least plan threshold; reducible still
+        # builds and caches the plan it is asked for
+        from cayley_embed import screening
+
+        enumerate_species(7)
+        screening._records.cache_clear()
+        screening._plan.cache_clear()
+        for size in range(1, 8):
+            screening._records(size)
+        assert screening._plan.cache_info().currsize == 0
+        reducible(screening._records(7)[0].rep, 7)
+        assert screening._plan.cache_info().currsize == 1
 
     def test_variant_ordering_invariant(self):
         # psi_circ <= psi_plus <= psi on a spread of orders
